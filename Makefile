@@ -39,13 +39,6 @@ SLOCONC     ?= 32
 SLOOUT      ?= loadgen-report.json
 SLOADDR     ?= 127.0.0.1:8093
 
-# Iso-gate settings: the byte-identity check for the iso-dedup sweep
-# path (scripts/iso-gate.sh). The |f| <= 5, d <= 7 grid is the one the
-# golden congruence-group counts and the >= 2x cell-reduction claim in
-# docs/iso-classes.md are stated for.
-ISOMAXLEN ?= 5
-ISOMAXD   ?= 7
-
 # Fabric-gate settings: the kill-and-resume byte-reproducibility check
 # for the sweep fabric (scripts/fabric-gate.sh). FABRICDELAY stretches
 # each leased cell so the SIGKILLs land mid-grid even on fast machines.
@@ -62,7 +55,7 @@ STOREOUT      ?= store-report.json
 STOREMAXLEN   ?= 4
 STOREMAXD     ?= 10
 
-.PHONY: all build test race test-json lint fmt vet bench bench-full bench-gate bench-baseline fuzz-smoke cover slo loadgen-compare pack store-gate fabric-gate iso-gate serve clean ci
+.PHONY: all build test race test-json lint fmt vet bench bench-full bench-gate bench-baseline fuzz-smoke cover slo loadgen-compare pack store-gate fabric-gate serve clean ci
 
 all: build
 
@@ -101,13 +94,17 @@ bench-full:
 	$(GO) test -run='^$$' -bench='$(BENCHFULL)' -benchtime=1s -count=5 ./... | tee $(BENCHFULLOUT)
 
 # The CI benchmark-regression gate: fail when any gated benchmark is more
-# than BENCHTHRESHOLD x slower than the committed baseline. To refresh the
-# baseline (after an intended slowdown or a runner change):
+# than BENCHTHRESHOLD x slower than the committed baseline. The filter is
+# BENCHFULL minus the 8-worker sweep variants: those still run and are
+# reported [ungated], because on a runner with 2 or fewer vCPUs they
+# measure the scheduler. To refresh the baseline (after an intended
+# slowdown or a runner change):
 #     make bench-full && cp bench-full.txt bench-baseline.txt
 bench-gate: bench-full
 	$(GO) run ./internal/tools/benchcmp \
 		-baseline $(BENCHBASELINE) -current $(BENCHFULLOUT) \
-		-threshold $(BENCHTHRESHOLD) -filter '$(BENCHFULL)'
+		-threshold $(BENCHTHRESHOLD) \
+		-filter 'BenchmarkE[0-9]|BenchmarkSweep[A-Za-z]*/(serial|parallel1)$$|BenchmarkConstructCube|BenchmarkColumnBuild|BenchmarkRankUnrank|BenchmarkMSBFS|BenchmarkThetaAnalyze'
 
 # Regenerate the committed baseline with the exact flags the gate uses
 # (-benchtime=1s -count=5). Run on a quiet machine after an intended
@@ -205,13 +202,6 @@ store-gate:
 fabric-gate:
 	FABRIC_MAXLEN=$(FABRICMAXLEN) FABRIC_MAXD=$(FABRICMAXD) \
 	FABRIC_CELL_DELAY=$(FABRICDELAY) GO=$(GO) ./scripts/fabric-gate.sh
-
-# Byte-identity gate for the iso-dedup sweep path: survey and classify
-# runs with and without iso dedup compared byte-for-byte, and the
-# per-dimension congruence-group counts checked against the golden
-# |f| <= 5 partition (2, 3, 5, 8, 11, 17, 22 groups at d = 1..7).
-iso-gate:
-	ISO_MAXLEN=$(ISOMAXLEN) ISO_MAXD=$(ISOMAXD) GO=$(GO) ./scripts/iso-gate.sh
 
 serve: build
 	$(GO) run ./cmd/gfc-serve

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	gfc-pack -dir packs/default [-minflen 1] [-maxflen 5] [-maxd 12] [-iso]
+//	gfc-pack -dir packs/default [-minflen 1] [-maxflen 5] [-maxd 12]
 //
 // Mount the result read-only on a service instance with
 // `gfc-serve -warm-pack DIR`: restarts then serve every packed class by
@@ -15,13 +15,6 @@
 // documented in docs/artifact-format.md; every artifact is checksummed
 // and re-verified on load, so a damaged pack degrades to recompute,
 // never to wrong answers.
-//
-// With -iso the pack carries artifacts only for iso-congruence group
-// representatives (one ranker/cube per verified congruence group per
-// dimension, per docs/iso-classes.md) plus an isoclasses.json membership
-// manifest; the verdict sidecar still covers every class, byte-identical
-// to a full pack's. Iso packs are much smaller; unpacked member classes
-// rebuild on demand.
 package main
 
 import (
@@ -40,7 +33,6 @@ func main() {
 	minLen := flag.Int("minflen", 1, "smallest factor length packed")
 	maxLen := flag.Int("maxflen", 5, "largest factor length packed")
 	maxD := flag.Int("maxd", 12, "largest dimension packed")
-	isoPack := flag.Bool("iso", false, "pack only iso-congruence group representatives plus a membership manifest")
 	flag.Parse()
 	if *dir == "" {
 		log.Fatal("-dir is required")
@@ -50,7 +42,6 @@ func main() {
 		MinLen: *minLen,
 		MaxLen: *maxLen,
 		MaxD:   *maxD,
-		Iso:    *isoPack,
 	})
 	if err != nil {
 		log.Fatal(err)

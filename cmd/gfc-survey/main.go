@@ -13,13 +13,7 @@
 //
 //	gfc-survey [-len L] [-minlen L0] [-maxd D] [-method exact|screen|quick]
 //	           [-parallel N] [-json] [-progress] [-store-dir DIR]
-//	           [-resume LEDGER] [-iso]
-//
-// With -iso the in-process sweep decides each scan once per verified
-// iso-congruence group and fans the verdict out to the member classes
-// (docs/iso-classes.md); the rendered rows are byte-identical to a plain
-// run. Fabric runs (-resume) always schedule iso-affine shards and
-// ignore the flag.
+//	           [-resume LEDGER]
 //
 // With -resume the census runs through the sweep fabric into an
 // append-only hash-chained ledger at the given path (created when
@@ -69,7 +63,6 @@ func main() {
 	progress := flag.Bool("progress", false, "report per-class progress on stderr")
 	storeDir := flag.String("store-dir", "", "artifact store directory: load precomputed cubes and write back misses")
 	resume := flag.String("resume", "", "run through the sweep fabric into this ledger, resuming it if it exists")
-	isoDedup := flag.Bool("iso", false, "decide once per iso-congruence group and fan out (in-process sweep only)")
 	flag.Parse()
 	if *length < 1 || *length > 10 {
 		log.Fatalf("length %d out of range [1,10]", *length)
@@ -93,7 +86,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := sweep.Options{Workers: *parallel, IsoDedup: *isoDedup}
+	opts := sweep.Options{Workers: *parallel}
 	if *storeDir != "" {
 		st, err := store.Open(store.Config{Dir: *storeDir})
 		if err != nil {

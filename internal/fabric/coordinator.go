@@ -139,11 +139,7 @@ func NewCoordinator(sp Spec, ledger *Ledger, opts Options) (*Coordinator, error)
 			remaining = append(remaining, cell)
 		}
 	}
-	// Shards are iso-affine: band-congruent classes share a slot so one
-	// worker's scratch sweeps their near-identical columns back to back.
-	// Scheduling only — cell identity, compute and ledger bytes are
-	// unchanged.
-	c.pending = PartitionIso(remaining, opts.Shards, sp.MinD, sp.MaxD)
+	c.pending = Partition(remaining, opts.Shards)
 	c.c.ShardsTotal.Store(uint64(len(c.pending)))
 	c.c.CellsTotal.Store(uint64(c.total))
 	c.c.CellsDone.Store(uint64(c.doneCount))

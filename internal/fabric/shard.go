@@ -5,10 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"gfcube/internal/bitstr"
-	"gfcube/internal/core"
-	"gfcube/internal/iso"
 )
 
 // Shard is one leasable unit of grid work: a subset of the spec's cells.
@@ -56,52 +52,6 @@ func Partition(cells []CellRef, n int) []*Shard {
 	slots := make(map[int][]CellRef)
 	for _, c := range cells {
 		slot := classShard(c.F, n)
-		slots[slot] = append(slots[slot], c)
-	}
-	ids := make([]int, 0, len(slots))
-	for slot := range slots {
-		ids = append(ids, slot)
-	}
-	sort.Ints(ids)
-	out := make([]*Shard, 0, len(ids))
-	for _, slot := range ids {
-		out = append(out, &Shard{ID: fmt.Sprintf("s%d", slot), Cells: slots[slot]})
-	}
-	return out
-}
-
-// PartitionIso is Partition with iso-class affinity: classes that are
-// Hamming-congruent at every dimension of [minD, maxD] hash to the shard
-// slot of their congruence-group leader, so congruent columns land on the
-// same worker and its scratch revisits near-identical cubes back to back.
-// This is pure scheduling — every cell is still computed by ComputeCell
-// and recorded by grid index, so the result set is byte-identical to a
-// plain Partition run. Like classShard, the assignment depends only on
-// (leader, n, band), so affinity is stable across runs and resumes.
-func PartitionIso(cells []CellRef, n, minD, maxD int) []*Shard {
-	if n < 1 {
-		n = 1
-	}
-	// Cells arrive in grid order, so first occurrence enumerates the
-	// distinct classes in the deterministic order iso.Band expects.
-	var classes []core.Class
-	seen := make(map[string]bool)
-	for _, c := range cells {
-		if !seen[c.F] {
-			seen[c.F] = true
-			if f, err := bitstr.Parse(c.F); err == nil {
-				classes = append(classes, core.ClassOf(f))
-			}
-		}
-	}
-	part := iso.Band(minD, maxD, classes)
-	slots := make(map[int][]CellRef)
-	for _, c := range cells {
-		rep := c.F
-		if f, err := bitstr.Parse(c.F); err == nil {
-			rep = part.Leader(f).String()
-		}
-		slot := classShard(rep, n)
 		slots[slot] = append(slots[slot], c)
 	}
 	ids := make([]int, 0, len(slots))

@@ -64,51 +64,6 @@ func TestPartitionStableAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestPartitionIsoGroupAffinity(t *testing.T) {
-	// Iso-affine shards must (a) cover every cell exactly once, (b) keep
-	// band-congruent classes on one shard, and (c) stay stable across
-	// runs, like the plain partition.
-	sp := testSpec(t)
-	cells := sp.Cells()
-	for _, n := range []int{1, 3, 7} {
-		shards := PartitionIso(cells, n, sp.MinD, sp.MaxD)
-		seen := make(map[int]bool)
-		classShardOf := make(map[string]string)
-		for _, sh := range shards {
-			for _, c := range sh.Cells {
-				if seen[c.I] {
-					t.Fatalf("n=%d: cell %d in two shards", n, c.I)
-				}
-				seen[c.I] = true
-				if prev, ok := classShardOf[c.F]; ok && prev != sh.ID {
-					t.Fatalf("n=%d: class %q split across shards %s and %s", n, c.F, prev, sh.ID)
-				}
-				classShardOf[c.F] = sh.ID
-			}
-		}
-		if len(seen) != len(cells) {
-			t.Fatalf("n=%d: %d cells covered, want %d", n, len(seen), len(cells))
-		}
-	}
-	// Known band-congruent pair on the |f| <= 5 census: 00001 and 00011
-	// merge for every d <= 6 but split at d = 7, so over the band [1, 6]
-	// they must share a shard.
-	wide, err := Spec{Op: OpClassify, MinLen: 1, MaxLen: 5, MinD: 1, MaxD: 6}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := PartitionIso(wide.Cells(), 7, wide.MinD, wide.MaxD)
-	shardOf := make(map[string]string)
-	for _, sh := range shards {
-		for _, c := range sh.Cells {
-			shardOf[c.F] = sh.ID
-		}
-	}
-	if a, b := shardOf["00001"], shardOf["00011"]; a == "" || a != b {
-		t.Fatalf("band-congruent classes 00001 (%s) and 00011 (%s) on different shards", a, b)
-	}
-}
-
 func TestClassShardInRange(t *testing.T) {
 	for _, rep := range []string{"1", "11", "101", "0", "10"} {
 		for _, n := range []int{1, 2, 5, 16} {

@@ -12,7 +12,6 @@ import (
 	"gfcube/internal/core"
 	"gfcube/internal/fabric"
 	"gfcube/internal/store"
-	"gfcube/internal/sweep"
 )
 
 // Observability layer: flat per-request samples recorded into lock-cheap
@@ -382,12 +381,6 @@ func (m *Metrics) Render(cache *Cache, pool *Pool, batcher *Batcher, st *store.S
 	colReuse, colRebuild := core.ColumnCounters()
 	fmt.Fprintf(&b, "# HELP gfc_sweep_column_reuse_total Cube constructions served incrementally off a cached class column.\n# TYPE gfc_sweep_column_reuse_total counter\ngfc_sweep_column_reuse_total %d\n", colReuse)
 	fmt.Fprintf(&b, "# HELP gfc_sweep_column_rebuild_total Cube constructions rebuilt from scratch (cold builder, new factor or dimension jump).\n# TYPE gfc_sweep_column_rebuild_total counter\ngfc_sweep_column_rebuild_total %d\n", colRebuild)
-	// Iso-dedup effectiveness of iso=true sweeps in this process (see
-	// sweep.IsoCounters): dedup - fanout cells were recomputed to restore
-	// label-dependent witnesses.
-	isoDedup, isoFanout := sweep.IsoCounters()
-	fmt.Fprintf(&b, "# HELP gfc_sweep_iso_dedup_total Grid cells elided because a congruence-group leader covers them.\n# TYPE gfc_sweep_iso_dedup_total counter\ngfc_sweep_iso_dedup_total %d\n", isoDedup)
-	fmt.Fprintf(&b, "# HELP gfc_sweep_iso_fanout_total Result copies delivered to member classes by iso fan-out.\n# TYPE gfc_sweep_iso_fanout_total counter\ngfc_sweep_iso_fanout_total %d\n", isoFanout)
 	if fabricHost != nil {
 		fs := fabricHost.Stats()
 		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_active_leases Live fabric leases on this worker.\n# TYPE gfc_fabric_worker_active_leases gauge\ngfc_fabric_worker_active_leases %d\n", fs.Active)

@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"gfcube/internal/core"
 	"gfcube/internal/fabric"
 	"gfcube/internal/store"
-	"gfcube/internal/sweep"
 )
 
 // Config tunes a Server. The zero value is usable: every field has a
@@ -133,7 +133,6 @@ var endpointPaths = []string{
 	"/v1/simulate", "/v1/broadcast", "/v1/hamilton",
 	"/v1/sweep/classify", "/v1/sweep/survey", "/v1/sweep/count",
 	"/v1/sweep/fdim", "/v1/sweep/degrees", "/v1/sweep/wiener",
-	"/v1/sweep/isoclasses",
 	"/v1/fabric/lease", "/v1/fabric/report",
 	"/v1/admin/store", "/v1/admin/warm",
 }
@@ -236,12 +235,28 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweep/fdim", s.instrument("/v1/sweep/fdim", s.handleSweepFDim))
 	mux.HandleFunc("GET /v1/sweep/degrees", s.instrument("/v1/sweep/degrees", s.handleSweepDegrees))
 	mux.HandleFunc("GET /v1/sweep/wiener", s.instrument("/v1/sweep/wiener", s.handleSweepWiener))
-	mux.HandleFunc("GET /v1/sweep/isoclasses", s.instrument("/v1/sweep/isoclasses", s.handleSweepIsoClasses))
 	mux.HandleFunc("POST /v1/fabric/lease", s.instrument("/v1/fabric/lease", s.handleFabricLease))
 	mux.HandleFunc("DELETE /v1/fabric/lease", s.instrument("/v1/fabric/lease", s.handleFabricCancel))
 	mux.HandleFunc("GET /v1/fabric/report", s.instrument("/v1/fabric/report", s.handleFabricReport))
 	mux.HandleFunc("GET /v1/admin/store", s.instrument("/v1/admin/store", s.handleAdminStore))
 	mux.HandleFunc("POST /v1/admin/warm", s.instrument("/v1/admin/warm", s.handleAdminWarm))
+	// Requests no route matches get the v1 envelope: 405 when the path is
+	// served under another method, 404 otherwise.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+			if _, p := mux.Handler(&http.Request{Method: m, Host: r.Host, URL: r.URL}); p != "/" {
+				allow = append(allow, m)
+			}
+		}
+		if len(allow) > 0 {
+			w.Header().Set("Allow", strings.Join(allow, ", "))
+			writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeBadRequest,
+				msg: fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path)})
+			return
+		}
+		writeError(w, notFound("no endpoint %s", r.URL.Path))
+	})
 	return mux
 }
 
@@ -408,7 +423,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	batches, batched, shed := s.metrics.BatchTotals()
 	colReuse, colRebuild := core.ColumnCounters()
-	isoDedup, isoFanout := sweep.IsoCounters()
 	lanes := 0
 	if s.batcher != nil {
 		lanes = s.batcher.Lanes()
@@ -433,8 +447,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BatchLanes:      lanes,
 		ColumnReuse:     colReuse,
 		ColumnRebuild:   colRebuild,
-		IsoDedup:        isoDedup,
-		IsoFanout:       isoFanout,
 	}
 	if s.store != nil {
 		resp.Store = &StoreStatsResponse{

@@ -283,6 +283,40 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// Unrouted requests carry the error envelope: unknown paths (including
+// removed endpoints) are 404 not_found, known paths under the wrong
+// method are 405.
+func TestUnroutedRequests(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		code         string
+	}{
+		{http.MethodGet, "/v1/sweep/isoclasses", http.StatusNotFound, CodeNotFound},
+		{http.MethodPost, "/v1/count", http.StatusMethodNotAllowed, CodeBadRequest},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: body is not an error envelope: %v", tc.method, tc.path, err)
+		}
+		if resp.StatusCode != tc.status || e.Error.Code != tc.code || e.Error.Message == "" {
+			t.Errorf("%s %s: status %d code %q message %q, want %d %q",
+				tc.method, tc.path, resp.StatusCode, e.Error.Code, e.Error.Message, tc.status, tc.code)
+		}
+	}
+}
+
 // TestConcurrentHammer fires many identical and mixed requests at the
 // service from many goroutines; run with -race it demonstrates the cache,
 // singleflight and pool are data-race free, and that every client observes

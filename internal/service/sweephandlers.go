@@ -54,20 +54,6 @@ func (s *Server) parseSweepGrid(r *http.Request, maxLenCap, maxDCap int) (sweep.
 	return spec, nil
 }
 
-// parseIsoDedup parses the optional iso parameter: iso=true runs the grid
-// in iso-dedup mode (one compute per congruence group, fanned out to
-// members — byte-identical output, see sweep.Options.IsoDedup).
-func parseIsoDedup(r *http.Request) (bool, error) {
-	switch raw := r.URL.Query().Get("iso"); raw {
-	case "", "false":
-		return false, nil
-	case "true":
-		return true, nil
-	default:
-		return false, badRequest("iso: %q is not a boolean (want true|false)", raw)
-	}
-}
-
 // parseWorkers parses the optional workers parameter (0 = GOMAXPROCS,
 // subject to the same cap as explicit values).
 func parseWorkers(r *http.Request) (int, error) {
@@ -116,19 +102,12 @@ func (s *Server) handleSweepClassify(w http.ResponseWriter, r *http.Request) err
 	if err != nil {
 		return err
 	}
-	isoDedup, err := parseIsoDedup(r)
-	if err != nil {
-		return err
-	}
 	if r.URL.Query().Get("stream") == "true" {
-		// Streaming emits cells as the engine finishes them; iso fan-out
-		// would have to buffer whole groups, so the stream path always
-		// computes plainly (same bytes either way).
 		return s.streamSweepClassify(w, r, spec, workers)
 	}
-	key := fmt.Sprintf("sweep/classify|%d|%d|%d|%d|%s|iso=%v", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD, spec.Method, isoDedup)
+	key := fmt.Sprintf("sweep/classify|%d|%d|%d|%d|%s", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD, spec.Method)
 	v, cached, err := s.compute(r.Context(), key, func(ctx context.Context) (any, error) {
-		cells, err := sweep.ClassifyGrid(ctx, spec, sweep.Options{Workers: workers, IsoDedup: isoDedup})
+		cells, err := sweep.ClassifyGrid(ctx, spec, sweep.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -226,13 +205,9 @@ func (s *Server) handleSweepSurvey(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	isoDedup, err := parseIsoDedup(r)
-	if err != nil {
-		return err
-	}
-	key := fmt.Sprintf("sweep/survey|%d|%d|%d|%d|%s|iso=%v", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD, spec.Method, isoDedup)
+	key := fmt.Sprintf("sweep/survey|%d|%d|%d|%d|%s", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD, spec.Method)
 	v, cached, err := s.compute(r.Context(), key, func(ctx context.Context) (any, error) {
-		rows, err := sweep.Survey(ctx, spec, sweep.Options{Workers: workers, IsoDedup: isoDedup})
+		rows, err := sweep.Survey(ctx, spec, sweep.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -333,13 +308,9 @@ func (s *Server) handleSweepDegrees(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	isoDedup, err := parseIsoDedup(r)
-	if err != nil {
-		return err
-	}
-	key := fmt.Sprintf("sweep/degrees|%d|%d|%d|%d|iso=%v", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD, isoDedup)
+	key := fmt.Sprintf("sweep/degrees|%d|%d|%d|%d", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD)
 	v, cached, err := s.compute(r.Context(), key, func(ctx context.Context) (any, error) {
-		cells, err := sweep.DegreeGrid(ctx, spec, sweep.Options{Workers: workers, IsoDedup: isoDedup})
+		cells, err := sweep.DegreeGrid(ctx, spec, sweep.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -389,13 +360,9 @@ func (s *Server) handleSweepWiener(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	isoDedup, err := parseIsoDedup(r)
-	if err != nil {
-		return err
-	}
-	key := fmt.Sprintf("sweep/wiener|%d|%d|%d|%d|iso=%v", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD, isoDedup)
+	key := fmt.Sprintf("sweep/wiener|%d|%d|%d|%d", spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD)
 	v, cached, err := s.compute(r.Context(), key, func(ctx context.Context) (any, error) {
-		cells, err := sweep.WienerGrid(ctx, spec, sweep.Options{Workers: workers, IsoDedup: isoDedup})
+		cells, err := sweep.WienerGrid(ctx, spec, sweep.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -424,52 +391,6 @@ func (s *Server) handleSweepWiener(w http.ResponseWriter, r *http.Request) error
 	}
 	resp := v.(SweepWienerResponse)
 	resp.Workers = workers
-	resp.Cached = cached
-	resp.Elapsed = elapsedSince(start)
-	writeJSON(w, http.StatusOK, resp)
-	return nil
-}
-
-// handleSweepIsoClasses serves the per-dimension congruence partitions of
-// a grid: for each d, the canonical factor classes grouped by verified
-// Hamming congruence of their Q_d(f) — the planning view behind iso=true
-// sweeps. No cells are computed; bounds follow the verified census
-// (maxlen <= 6, maxd <= 12).
-func (s *Server) handleSweepIsoClasses(w http.ResponseWriter, r *http.Request) error {
-	start := time.Now()
-	maxLen, err := parseIntParam(r, "maxlen", 5, 1, 6)
-	if err != nil {
-		return err
-	}
-	minLen, err := parseIntParam(r, "minlen", 1, 1, maxLen)
-	if err != nil {
-		return err
-	}
-	maxD, err := parseIntParam(r, "maxd", 9, 1, 12)
-	if err != nil {
-		return err
-	}
-	minD, err := parseIntParam(r, "mind", 1, 1, maxD)
-	if err != nil {
-		return err
-	}
-	spec := sweep.GridSpec{MinLen: minLen, MaxLen: maxLen, MinD: minD, MaxD: maxD}
-	key := fmt.Sprintf("sweep/isoclasses|%d|%d|%d|%d", minLen, maxLen, minD, maxD)
-	v, cached, err := s.compute(r.Context(), key, func(ctx context.Context) (any, error) {
-		rows, err := sweep.IsoClassGrid(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return SweepIsoClassesResponse{
-			MinLen: minLen, MaxLen: maxLen,
-			MinD: minD, MaxD: maxD,
-			Rows: rows,
-		}, nil
-	})
-	if err != nil {
-		return err
-	}
-	resp := v.(SweepIsoClassesResponse)
 	resp.Cached = cached
 	resp.Elapsed = elapsedSince(start)
 	writeJSON(w, http.StatusOK, resp)

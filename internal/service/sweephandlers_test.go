@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -336,81 +335,5 @@ func TestSweepClassifyStreamTerminalErrorRecord(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &cell); err != nil {
 			t.Errorf("non-terminal line is not a cell: %q", line)
 		}
-	}
-}
-
-// iso=true must serve the exact same grid as the plain sweep (the
-// iso-dedup contract), under a distinct cache key, and the isoclasses
-// endpoint must report the verified census partition sizes.
-func TestSweepIsoDedupEndpoints(t *testing.T) {
-	ts, _ := newTestServer(t)
-	var plain, deduped SweepClassifyResponse
-	getJSON(t, ts.URL+"/v1/sweep/classify?maxlen=5&maxd=7&method=exact", &plain)
-	url := ts.URL + "/v1/sweep/classify?maxlen=5&maxd=7&method=exact&iso=true"
-	if code := getJSON(t, url, &deduped); code != http.StatusOK {
-		t.Fatalf("%s: status %d", url, code)
-	}
-	if deduped.Cached {
-		t.Fatalf("iso=true shared the plain sweep's cache entry")
-	}
-	if len(plain.Cells) != len(deduped.Cells) {
-		t.Fatalf("iso=true returned %d cells, plain %d", len(deduped.Cells), len(plain.Cells))
-	}
-	for i := range plain.Cells {
-		if plain.Cells[i] != deduped.Cells[i] {
-			t.Errorf("cell %d: iso %+v vs plain %+v", i, deduped.Cells[i], plain.Cells[i])
-		}
-	}
-
-	var survey, surveyIso SweepSurveyResponse
-	getJSON(t, ts.URL+"/v1/sweep/survey?maxlen=4&maxd=8&method=exact", &survey)
-	getJSON(t, ts.URL+"/v1/sweep/survey?maxlen=4&maxd=8&method=exact&iso=true", &surveyIso)
-	if len(survey.Rows) != len(surveyIso.Rows) {
-		t.Fatalf("iso survey returned %d rows, plain %d", len(surveyIso.Rows), len(survey.Rows))
-	}
-	for i := range survey.Rows {
-		if survey.Rows[i] != surveyIso.Rows[i] {
-			t.Errorf("row %d: iso %+v vs plain %+v", i, surveyIso.Rows[i], survey.Rows[i])
-		}
-	}
-
-	var classes SweepIsoClassesResponse
-	if code := getJSON(t, ts.URL+"/v1/sweep/isoclasses?maxlen=5&maxd=7", &classes); code != http.StatusOK {
-		t.Fatalf("isoclasses: status %d", code)
-	}
-	wantGroups := []int{2, 3, 5, 8, 11, 17, 22}
-	if len(classes.Rows) != len(wantGroups) {
-		t.Fatalf("isoclasses rows: %d, want %d", len(classes.Rows), len(wantGroups))
-	}
-	for i, row := range classes.Rows {
-		if row.Classes != 22 || row.Groups != wantGroups[i] {
-			t.Errorf("d=%d: %d groups of %d classes, want %d of 22", row.D, row.Groups, row.Classes, wantGroups[i])
-		}
-	}
-
-	// The dedup counters must now be visible on /stats and /metrics.
-	var stats StatsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
-	if stats.IsoDedup == 0 || stats.IsoFanout == 0 {
-		t.Errorf("stats iso counters not populated: dedup=%d fanout=%d", stats.IsoDedup, stats.IsoFanout)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf [1 << 16]byte
-	n, _ := resp.Body.Read(buf[:])
-	body := string(buf[:n])
-	for _, metric := range []string{"gfc_sweep_iso_dedup_total", "gfc_sweep_iso_fanout_total"} {
-		if !strings.Contains(body, metric) {
-			t.Errorf("/metrics missing %s", metric)
-		}
-	}
-
-	// Bad iso values are rejected.
-	var errResp ErrorResponse
-	if code := getJSON(t, ts.URL+"/v1/sweep/classify?maxlen=3&maxd=5&iso=banana", &errResp); code != http.StatusBadRequest {
-		t.Errorf("iso=banana: status %d, want 400", code)
 	}
 }

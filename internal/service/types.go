@@ -3,7 +3,6 @@ package service
 import (
 	"gfcube/internal/fabric"
 	"gfcube/internal/store"
-	"gfcube/internal/sweep"
 )
 
 // Response envelopes for the JSON API. Exact counts are decimal strings
@@ -354,20 +353,6 @@ type SweepWienerResponse struct {
 	Elapsed string            `json:"elapsed"`
 }
 
-// SweepIsoClassesResponse reports the per-dimension iso-congruence
-// partitions of a grid: for each d, how the canonical factor classes
-// group under verified Hamming congruence of their cubes. Rows are in
-// ascending d; member lists are in grid order, group leader first.
-type SweepIsoClassesResponse struct {
-	MinLen  int                 `json:"minLen"`
-	MaxLen  int                 `json:"maxLen"`
-	MinD    int                 `json:"minD"`
-	MaxD    int                 `json:"maxD"`
-	Rows    []sweep.IsoClassRow `json:"rows"`
-	Cached  bool                `json:"cached"`
-	Elapsed string              `json:"elapsed"`
-}
-
 // StatsResponse is the /stats ("metrics") payload.
 type StatsResponse struct {
 	UptimeSeconds   float64 `json:"uptimeSeconds"`
@@ -394,12 +379,6 @@ type StatsResponse struct {
 	// scratch. See core.ColumnCounters.
 	ColumnReuse   uint64 `json:"sweepColumnReuse"`
 	ColumnRebuild uint64 `json:"sweepColumnRebuild"`
-	// Iso-dedup effectiveness (process-wide): member cells whose compute
-	// was elided by a congruence-group leader vs result copies delivered
-	// by fan-out; the difference was recomputed for per-member witnesses.
-	// See sweep.IsoCounters.
-	IsoDedup  uint64 `json:"sweepIsoDedup"`
-	IsoFanout uint64 `json:"sweepIsoFanout"`
 	// Store is the artifact-store snapshot, absent when the store is
 	// disabled.
 	Store *StoreStatsResponse `json:"store,omitempty"`

@@ -9,7 +9,6 @@ import (
 
 	"gfcube/internal/bitstr"
 	"gfcube/internal/core"
-	"gfcube/internal/iso"
 )
 
 // Warm-start packs: a directory of artifacts covering a full (|f|, d)
@@ -20,12 +19,10 @@ import (
 // (`make pack`); gfc-serve -warm-pack mounts one read-only.
 
 // ManifestName and VerdictsName are the sidecar file names inside a
-// pack directory; IsoClassesName is the congruence-group membership
-// manifest written only by iso packs.
+// pack directory.
 const (
-	ManifestName   = "pack.json"
-	VerdictsName   = "verdicts.json"
-	IsoClassesName = "isoclasses.json"
+	ManifestName = "pack.json"
+	VerdictsName = "verdicts.json"
 )
 
 // PackOptions bounds pack generation. Zero values default to the
@@ -34,15 +31,6 @@ type PackOptions struct {
 	MinLen int
 	MaxLen int
 	MaxD   int
-	// Iso packs only iso-congruence group representatives: per dimension,
-	// one ranker/cube artifact per verified congruence group (its leader
-	// class's representative word) instead of one per factor word, plus an
-	// isoclasses.json membership manifest. The verdict sidecar keeps full
-	// per-class coverage — member verdicts are fanned out from their
-	// leader's (witnesses recomputed, since vertex labels do not transfer)
-	// and the sidecar bytes are identical to a non-iso pack's. Unpacked
-	// member classes degrade to on-demand rebuild, never to wrong answers.
-	Iso bool
 }
 
 func (o PackOptions) withDefaults() PackOptions {
@@ -66,21 +54,6 @@ type Manifest struct {
 	MaxD          int `json:"maxD"`
 	Artifacts     int `json:"artifacts"`
 	Verdicts      int `json:"verdicts"`
-	// Iso-pack inventory: set only when the pack was generated with
-	// PackOptions.Iso. IsoDeduped counts verdict cells transferred from a
-	// congruence-group leader instead of being computed directly.
-	Iso        bool `json:"iso,omitempty"`
-	IsoDeduped int  `json:"isoDeduped,omitempty"`
-}
-
-// IsoGroupRow is one dimension of the isoclasses.json membership
-// manifest: the verified congruence groups of the pack's canonical
-// classes at that dimension. Members[g][0] is group g's leader — the
-// class whose representative word the pack carries artifacts for.
-type IsoGroupRow struct {
-	D       int        `json:"d"`
-	Groups  int        `json:"groups"`
-	Members [][]string `json:"members"`
 }
 
 // Verdict is one precomputed (canonical class, d) cell of the sidecar:
@@ -124,38 +97,12 @@ func Generate(dir string, opts PackOptions) (Manifest, error) {
 		MaxD:          opts.MaxD,
 	}
 	scratch := core.NewScratch()
-	classes := core.Classes(opts.MinLen, opts.MaxLen)
-	if opts.Iso {
-		man.Iso = true
-		// One artifact set per congruence group per dimension: the group
-		// leader's representative word stands in for every member.
-		var isoRows []IsoGroupRow
-		for d := 1; d <= opts.MaxD; d++ {
-			part := iso.At(d, classes)
-			row := IsoGroupRow{D: d, Groups: part.NumGroups()}
-			for _, g := range part.Groups {
-				if err := saveArtifacts(st, scratch, g.Leader.Rep, d, &man); err != nil {
+	for n := opts.MinLen; n <= opts.MaxLen; n++ {
+		for bits := uint64(0); bits < 1<<uint(n); bits++ {
+			f := bitstr.Word{Bits: bits, N: n}
+			for d := 1; d <= opts.MaxD; d++ {
+				if err := saveArtifacts(st, scratch, f, d, &man); err != nil {
 					return Manifest{}, err
-				}
-				members := make([]string, len(g.Members))
-				for i, m := range g.Members {
-					members[i] = m.Rep.String()
-				}
-				row.Members = append(row.Members, members)
-			}
-			isoRows = append(isoRows, row)
-		}
-		if err := writeJSONFile(filepath.Join(dir, IsoClassesName), isoRows); err != nil {
-			return Manifest{}, err
-		}
-	} else {
-		for n := opts.MinLen; n <= opts.MaxLen; n++ {
-			for bits := uint64(0); bits < 1<<uint(n); bits++ {
-				f := bitstr.Word{Bits: bits, N: n}
-				for d := 1; d <= opts.MaxD; d++ {
-					if err := saveArtifacts(st, scratch, f, d, &man); err != nil {
-						return Manifest{}, err
-					}
 				}
 			}
 		}
@@ -163,9 +110,8 @@ func Generate(dir string, opts PackOptions) (Manifest, error) {
 	// The verdict pass loads every cube it touches from the artifacts
 	// written above.
 	scratch.Provider = NewProvider(st)
-	verdicts, deduped := packVerdicts(scratch, classes, opts)
+	verdicts := packVerdicts(scratch, core.Classes(opts.MinLen, opts.MaxLen), opts.MaxD)
 	man.Verdicts = len(verdicts)
-	man.IsoDeduped = deduped
 	if err := writeJSONFile(filepath.Join(dir, VerdictsName), verdicts); err != nil {
 		return Manifest{}, err
 	}
@@ -194,62 +140,15 @@ func saveArtifacts(st *Store, scratch *core.Scratch, f bitstr.Word, d int, man *
 }
 
 // packVerdicts computes the sidecar rows in class-major, dimension-minor
-// order. In iso mode each congruence-group leader is computed once per
-// dimension and fanned out to its members: the counts and the isometric
-// verdict transfer along the verified congruence, the theory
-// classification is recomputed per member (it cites per-class
-// structure), and non-isometric members rerun the exact check so their
-// witness pair is expressed in their own vertex labels. The emitted
-// rows are byte-identical either way.
-func packVerdicts(scratch *core.Scratch, classes []core.Class, opts PackOptions) ([]Verdict, int) {
-	if !opts.Iso {
-		verdicts := make([]Verdict, 0, len(classes)*opts.MaxD)
-		for _, cl := range classes {
-			for d := 1; d <= opts.MaxD; d++ {
-				verdicts = append(verdicts, computeVerdict(scratch, cl, d))
-			}
-		}
-		return verdicts, 0
-	}
-	nD := opts.MaxD
-	idx := make(map[bitstr.Word]int, len(classes))
-	for i, cl := range classes {
-		idx[cl.Rep] = i
-	}
-	cells := make([]Verdict, len(classes)*nD)
-	deduped := 0
-	for d := 1; d <= nD; d++ {
-		part := iso.At(d, classes)
-		for _, g := range part.Groups {
-			lead := computeVerdict(scratch, g.Leader, d)
-			cells[idx[g.Leader.Rep]*nD+d-1] = lead
-			for _, m := range g.Members {
-				if m.Rep == g.Leader.Rep {
-					continue
-				}
-				deduped++
-				v := lead
-				v.Factor = m.Rep.String()
-				v.ClassSize = m.Size
-				th := core.Classify(m.Rep, d)
-				v.Verdict = th.Verdict.String()
-				v.Reason = th.Reason
-				if !lead.Isometric {
-					cell := core.ClassifyCell(context.Background(), scratch, m, d, core.MethodQuick)
-					v.Isometric = cell.Isometric
-					v.WitnessU, v.WitnessV, v.CubeDist, v.HammingDist = "", "", 0, 0
-					if w := cell.Witness; w != nil {
-						v.WitnessU = w.U.String()
-						v.WitnessV = w.V.String()
-						v.CubeDist = w.CubeDist
-						v.HammingDist = w.HammingDist
-					}
-				}
-				cells[idx[m.Rep]*nD+d-1] = v
-			}
+// order.
+func packVerdicts(scratch *core.Scratch, classes []core.Class, maxD int) []Verdict {
+	verdicts := make([]Verdict, 0, len(classes)*maxD)
+	for _, cl := range classes {
+		for d := 1; d <= maxD; d++ {
+			verdicts = append(verdicts, computeVerdict(scratch, cl, d))
 		}
 	}
-	return cells, deduped
+	return verdicts
 }
 
 // computeVerdict builds one sidecar row from scratch.
@@ -275,19 +174,6 @@ func computeVerdict(scratch *core.Scratch, cl core.Class, d int) Verdict {
 		v.HammingDist = w.HammingDist
 	}
 	return v
-}
-
-// LoadIsoClasses reads an iso pack's membership manifest.
-func LoadIsoClasses(dir string) ([]IsoGroupRow, error) {
-	data, err := os.ReadFile(filepath.Join(dir, IsoClassesName))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []IsoGroupRow
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("store: bad iso-class manifest: %w", err)
-	}
-	return out, nil
 }
 
 func writeJSONFile(path string, v any) error {

@@ -114,90 +114,3 @@ func TestGenerateBadDir(t *testing.T) {
 		t.Error("pack generation into a file path succeeded")
 	}
 }
-
-// An iso pack must carry fewer artifacts (one set per congruence group
-// per dimension), a membership manifest covering every class, and a
-// verdict sidecar byte-identical to the non-iso pack's.
-func TestPackGenerateIso(t *testing.T) {
-	opts := PackOptions{MinLen: 1, MaxLen: 3, MaxD: 5}
-	plainDir, isoDir := t.TempDir(), t.TempDir()
-	plain, err := Generate(plainDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Iso = true
-	man, err := Generate(isoDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !man.Iso {
-		t.Error("manifest not marked iso")
-	}
-	if man.Artifacts >= plain.Artifacts {
-		t.Errorf("iso pack has %d artifacts, plain %d — no reduction", man.Artifacts, plain.Artifacts)
-	}
-	if man.Verdicts != plain.Verdicts {
-		t.Errorf("iso pack has %d verdicts, plain %d — coverage lost", man.Verdicts, plain.Verdicts)
-	}
-	if man.IsoDeduped == 0 {
-		t.Error("iso pack reports zero deduped verdict cells")
-	}
-
-	// The verdict sidecar fans out to full coverage and must be
-	// byte-identical to direct computation.
-	a, err := os.ReadFile(filepath.Join(plainDir, VerdictsName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(isoDir, VerdictsName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Error("iso verdict sidecar differs from the plain pack's")
-	}
-
-	// Membership manifest: one row per dimension, every canonical class
-	// present exactly once, leaders are the packed artifacts.
-	rows, err := LoadIsoClasses(isoDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != opts.MaxD {
-		t.Fatalf("%d manifest rows, want %d", len(rows), opts.MaxD)
-	}
-	classes := core.Classes(opts.MinLen, opts.MaxLen)
-	st, err := Open(Config{PackDir: isoDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	p := NewProvider(st)
-	for i, row := range rows {
-		if row.D != i+1 || row.Groups != len(row.Members) {
-			t.Fatalf("row %d: %+v", i, row)
-		}
-		seen := make(map[string]bool)
-		for _, g := range row.Members {
-			if len(g) == 0 {
-				t.Fatalf("d=%d: empty group", row.D)
-			}
-			for _, m := range g {
-				if seen[m] {
-					t.Fatalf("d=%d: class %s in two groups", row.D, m)
-				}
-				seen[m] = true
-			}
-			lead := bitstr.MustParse(g[0])
-			if _, src, err := p.Implicit(context.Background(), row.D, lead); err != nil || src != core.SourceStore {
-				t.Fatalf("leader ranker %s d=%d: src=%q err=%v", g[0], row.D, src, err)
-			}
-		}
-		if len(seen) != len(classes) {
-			t.Fatalf("d=%d: %d classes in manifest, want %d", row.D, len(seen), len(classes))
-		}
-	}
-	if p.Computed() != 0 {
-		t.Errorf("%d rebuilds while loading leader artifacts", p.Computed())
-	}
-}

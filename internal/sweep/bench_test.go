@@ -61,54 +61,6 @@ func BenchmarkSweepClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepClassifyIsoDedup measures the congruence-deduplicated
-// classification sweep against the symmetry-only baseline on the largest
-// grid where the iso partition still halves the work: |f| <= 5, d <= 7
-// (154 cells, 68 group leaders, 4 witness recomputes — 72 decided cells,
-// a 2.14x reduction; at d <= 9 the d >= 8 dimensions are all singleton
-// groups and the ratio decays to 1.77x). Both variants verify against the
-// oracle so the dedup path can never win by diverging; cells/op reports
-// how many cells each variant actually decided.
-func BenchmarkSweepClassifyIsoDedup(b *testing.B) {
-	spec := GridSpec{MaxLen: 5, MaxD: 7, Method: core.MethodExact}
-	oracle, err := ClassifyGrid(context.Background(), spec, Options{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"baseline", Options{Workers: 1}},
-		{"isodedup", Options{Workers: 1, IsoDedup: true}},
-		{"isodedup8", Options{Workers: 8, IsoDedup: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var decided int
-			for i := 0; i < b.N; i++ {
-				_, f0 := IsoCounters()
-				cells, err := ClassifyGrid(context.Background(), spec, tc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cells) != len(oracle) {
-					b.Fatalf("cells: %d, want %d", len(cells), len(oracle))
-				}
-				for j := range cells {
-					if cells[j].Class != oracle[j].Class || cells[j].D != oracle[j].D ||
-						cells[j].Isometric != oracle[j].Isometric {
-						b.Fatalf("cell %d diverges from oracle", j)
-					}
-				}
-				_, f1 := IsoCounters()
-				decided = len(cells) - int(f1-f0) // fanned cells were not decided
-			}
-			b.ReportMetric(float64(decided), "cells/op")
-		})
-	}
-}
-
 // BenchmarkSweepSurvey measures the class-granular survey (the gfc-survey
 // workload) at length 6 with the critical-pair screen.
 func BenchmarkSweepSurvey(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gfcube/internal/bitstr"
 	"gfcube/internal/core"
 	"gfcube/internal/graph"
 )
@@ -33,6 +34,37 @@ func TestBadGridSpecs(t *testing.T) {
 	}
 	if _, err := FDimGrid(ctx, graph.Path(3), 1, 2, 0, Options{}); err == nil {
 		t.Error("fdim grid with maxD < 1 accepted")
+	}
+}
+
+// Grids that build explicit cubes reject MaxD past core.MaxBuildDim up
+// front instead of panicking inside a worker; DegreeGrid runs on the
+// implicit backend and is bounded by bitstr.MaxLen instead.
+func TestGridSpecDimensionCaps(t *testing.T) {
+	ctx := context.Background()
+	past := GridSpec{MaxLen: 1, MaxD: core.MaxBuildDim + 1, Method: core.MethodExact}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"classify", func() error { _, err := ClassifyGrid(ctx, past, Options{}); return err }},
+		{"survey", func() error { _, err := Survey(ctx, past, Options{}); return err }},
+		{"wiener", func() error { _, err := WienerGrid(ctx, past, Options{}); return err }},
+		{"degrees", func() error {
+			_, err := DegreeGrid(ctx, GridSpec{MaxLen: 1, MaxD: bitstr.MaxLen + 1}, Options{})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: over-cap spec accepted", tc.name)
+		}
+	}
+	cells, err := DegreeGrid(ctx, GridSpec{MaxLen: 1, MinD: past.MaxD, MaxD: past.MaxD}, Options{})
+	if err != nil {
+		t.Fatalf("degrees past the build cap: %v", err)
+	}
+	if len(cells) != 1 || cells[0].Order != 1 {
+		t.Fatalf("degrees past the build cap: %+v, want one single-vertex cell", cells)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"gfcube/internal/bitstr"
 	"gfcube/internal/core"
 	"gfcube/internal/graph"
 	"gfcube/internal/isometry"
@@ -18,7 +19,11 @@ type GridSpec struct {
 	Method         core.Method
 }
 
-func (sp GridSpec) normalized() (GridSpec, error) {
+// normalized validates sp and fills the MinLen/MinD floors. maxD is the
+// largest dimension the grid's cells can be computed at: core.MaxBuildDim
+// for grids that build explicit cubes, bitstr.MaxLen for the implicit
+// backend.
+func (sp GridSpec) normalized(maxD int) (GridSpec, error) {
 	if sp.MinLen < 1 {
 		sp.MinLen = 1
 	}
@@ -30,6 +35,9 @@ func (sp GridSpec) normalized() (GridSpec, error) {
 	}
 	if sp.MaxD < sp.MinD {
 		return sp, fmt.Errorf("sweep: MaxD %d < MinD %d", sp.MaxD, sp.MinD)
+	}
+	if sp.MaxD > maxD {
+		return sp, fmt.Errorf("sweep: MaxD %d exceeds %d", sp.MaxD, maxD)
 	}
 	return sp, nil
 }
@@ -51,9 +59,7 @@ func collect[T any](ctx context.Context, tasks []Task, fn Func, opts Options) ([
 	return out, nil
 }
 
-// classifyFn is the per-cell task body of ClassifyGrid, shared with the
-// iso-dedup path so representative cells and recomputed member cells run
-// the exact same code as the oracle.
+// classifyFn is the per-cell task body of ClassifyGrid.
 func classifyFn(spec GridSpec) Func {
 	return func(ctx context.Context, s *core.Scratch, t Task) (any, error) {
 		if err := ctx.Err(); err != nil {
@@ -66,16 +72,12 @@ func classifyFn(spec GridSpec) Func {
 // ClassifyGrid evaluates the full (class, d) grid in parallel and returns
 // the cells in the same deterministic order as the serial
 // core.ClassifyAll: classes in (length, value) order, d ascending. This is
-// the E02 workload (Table 1) generalized to arbitrary bounds. With
-// opts.IsoDedup the grid is computed once per congruence group and fanned
-// out (see classifyGridIso); the output is identical either way.
+// the E02 workload (Table 1) generalized to arbitrary bounds. Cells build
+// explicit cubes, so MaxD is bounded by core.MaxBuildDim.
 func ClassifyGrid(ctx context.Context, spec GridSpec, opts Options) ([]core.Cell, error) {
-	spec, err := spec.normalized()
+	spec, err := spec.normalized(core.MaxBuildDim)
 	if err != nil {
 		return nil, err
-	}
-	if opts.IsoDedup {
-		return classifyGridIso(ctx, spec, opts)
 	}
 	tasks := CellTasks(spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD)
 	return collect[core.Cell](ctx, tasks, classifyFn(spec), opts)
@@ -116,8 +118,6 @@ func surveyFn(spec GridSpec) Func {
 
 // surveyTheory is the Theory column of one survey row: the paper's
 // classification reason, or "-" when the paper does not decide the class.
-// It depends on the class label, so the iso-dedup path evaluates it per
-// member instead of copying it from the group leader.
 func surveyTheory(cl core.Class, maxD int) string {
 	if c := core.Classify(cl.Rep, maxD); c.Verdict != core.Unknown {
 		return c.Reason
@@ -130,16 +130,12 @@ func surveyTheory(cl core.Class, maxD int) string {
 // non-isometric dimension (d <= |f| is always isometric by Lemma 2.1, so
 // the scan skips it). One task per class; within a task the scan stops at
 // the first failure, exactly like the serial survey, so no
-// symmetry-redundant or post-failure work is done. With opts.IsoDedup one
-// scan per band-congruence group replaces the per-class scans (see
-// surveyIso).
+// symmetry-redundant or post-failure work is done. MaxD is bounded by
+// core.MaxBuildDim.
 func Survey(ctx context.Context, spec GridSpec, opts Options) ([]SurveyRow, error) {
-	spec, err := spec.normalized()
+	spec, err := spec.normalized(core.MaxBuildDim)
 	if err != nil {
 		return nil, err
-	}
-	if opts.IsoDedup {
-		return surveyIso(ctx, spec, opts)
 	}
 	tasks := ClassTasks(spec.MinLen, spec.MaxLen)
 	return collect[SurveyRow](ctx, tasks, surveyFn(spec), opts)
@@ -188,14 +184,12 @@ type DegreeCell struct {
 // memory stays O(|f|·d) plus the d+1 counters, where the explicit path
 // materializes every edge. The spec's Method is ignored (there is no
 // verdict to decide). Enumeration still visits every vertex, so MaxD
-// stays in enumerable range.
+// stays in enumerable range; the hard cap is the implicit backend's
+// bitstr.MaxLen.
 func DegreeGrid(ctx context.Context, spec GridSpec, opts Options) ([]DegreeCell, error) {
-	spec, err := spec.normalized()
+	spec, err := spec.normalized(bitstr.MaxLen)
 	if err != nil {
 		return nil, err
-	}
-	if opts.IsoDedup {
-		return degreeGridIso(ctx, spec, opts)
 	}
 	tasks := CellTasks(spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD)
 	return collect[DegreeCell](ctx, tasks, degreeFn(), opts)
@@ -258,12 +252,9 @@ type WienerCell struct {
 // across the pool. The spec's Method is ignored; the Wiener comparison is
 // its own verdict.
 func WienerGrid(ctx context.Context, spec GridSpec, opts Options) ([]WienerCell, error) {
-	spec, err := spec.normalized()
+	spec, err := spec.normalized(core.MaxBuildDim)
 	if err != nil {
 		return nil, err
-	}
-	if opts.IsoDedup {
-		return wienerGridIso(ctx, spec, opts)
 	}
 	tasks := CellTasks(spec.MinLen, spec.MaxLen, spec.MinD, spec.MaxD)
 	return collect[WienerCell](ctx, tasks, wienerFn(), opts)

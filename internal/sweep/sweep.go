@@ -69,11 +69,6 @@ type Options struct {
 	// cube construction resolves through it (e.g. a store-backed
 	// compute-or-load provider) instead of always building from scratch.
 	Provider core.Provider
-	// IsoDedup makes the grid workloads (ClassifyGrid, Survey, DegreeGrid,
-	// WienerGrid) compute each cell once per verified iso-congruence group
-	// and fan the result out to the member classes, instead of once per
-	// canonical class. Output is byte-identical either way; see iso.go.
-	IsoDedup bool
 }
 
 func (o Options) withDefaults() Options {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -63,6 +64,34 @@ func TestClassifyGridMatchesSerial(t *testing.T) {
 				t.Errorf("workers=%d cell %d: parallel %+v vs serial %+v",
 					workers, i, cells[i], serial[i])
 			}
+		}
+	}
+}
+
+// The class- and cell-granular grid wrappers deliver the same payloads,
+// witnesses and big.Int sums included, at any worker count.
+func TestGridWrappersMatchSerial(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func(Options) (any, error)
+	}{
+		{"survey", func(o Options) (any, error) {
+			return Survey(ctx, GridSpec{MaxLen: 5, MaxD: 9, Method: core.MethodExact}, o)
+		}},
+		{"degrees", func(o Options) (any, error) { return DegreeGrid(ctx, GridSpec{MaxLen: 5, MaxD: 8}, o) }},
+		{"wiener", func(o Options) (any, error) { return WienerGrid(ctx, GridSpec{MaxLen: 4, MaxD: 7}, o) }},
+	} {
+		want, err := tc.run(Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := tc.run(Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: 4 workers diverge from 1:\n got %+v\nwant %+v", tc.name, got, want)
 		}
 	}
 }
