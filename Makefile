@@ -12,8 +12,8 @@ BENCHOUT ?= bench.txt
 
 # Benchmark-regression gate settings. BENCHFULL selects the gated
 # benchmarks (the paper-experiment E-suite, the sweep engine fixture,
-# cube construction — the DFA-rank edge build — the column-incremental
-# builder vs from-scratch, the rank/unrank addressing hot path, the
+# cube construction — the column chain from Q_0 — one column builder vs
+# core.New per cell, the rank/unrank addressing hot path, the
 # MS-BFS distance engine and the streaming Θ analysis); the full run
 # uses real iteration counts so bench-full numbers are comparable,
 # unlike the 1-iteration smoke run.

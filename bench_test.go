@@ -520,11 +520,11 @@ func BenchmarkConstructCube(b *testing.B) {
 }
 
 // Column construction: building the whole Fibonacci column Q_1(11) ..
-// Q_20(11) — the access pattern of every grid sweep — incrementally
-// through core.ColumnBuilder versus from scratch per cell. The gated
-// speedup target is >= 1.5x (see ISSUE 9); the incremental path replaces
-// each cell's enumeration + ranked edge pass with an O(|V|+|E|) filter
-// over the previous cube.
+// Q_20(11) — the access pattern of every grid sweep. "incremental" keeps
+// one core.ColumnBuilder across the column, so each cell is a single
+// O(|V|+|E|) step from the previous cube. "fromscratch" calls core.New
+// per cell, which runs one chain from Q_0 per cell: what a sweep without
+// column affinity pays.
 func BenchmarkColumnBuild(b *testing.B) {
 	const maxD = 20
 	f := bitstr.Ones(2)

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"text/tabwriter"
 
@@ -22,10 +23,19 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("gfc-classify: ")
 	maxLen := flag.Int("maxlen", 5, "largest forbidden-factor length to classify")
 	maxD := flag.Int("maxd", 9, "largest dimension for exact verification")
 	verify := flag.Bool("verify", true, "recompute every verdict exactly up to -maxd")
 	flag.Parse()
+	if *verify {
+		// Verification builds Q_d(f) for every d <= maxD; reject a
+		// dimension beyond explicit construction before printing a row.
+		if err := core.CheckBuild(*maxD, bitstr.Ones(1)); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "len\tfactor\tisometric for\tsource\tverified")

@@ -33,6 +33,9 @@ func main() {
 		log.Fatal("order must be at least 1")
 	}
 	f := bitstr.Ones(*s)
+	if err := core.CheckBuild(*maxD, f); err != nil {
+		log.Fatal(err)
+	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\t|V|\t|E|\tdeg\tdiam\tavg dist\tham path\tmax subcube")

@@ -27,8 +27,11 @@ func main() {
 	flag.Parse()
 
 	f, err := bitstr.Parse(*factor)
-	if err != nil || f.Len() == 0 {
+	if err != nil {
 		log.Fatalf("invalid factor %q: %v", *factor, err)
+	}
+	if err := core.CheckBuild(*dim, f); err != nil {
+		log.Fatal(err)
 	}
 	c := core.New(*dim, f)
 	kind := "path"

@@ -26,8 +26,11 @@ func main() {
 	flag.Parse()
 
 	f, err := bitstr.Parse(*factor)
-	if err != nil || f.Len() == 0 {
+	if err != nil {
 		log.Fatalf("invalid factor %q: %v", *factor, err)
+	}
+	if err := core.CheckBuild(*dim, f); err != nil {
+		log.Fatal(err)
 	}
 
 	cl := core.Classify(f, *dim)

@@ -45,14 +45,20 @@ func main() {
 	flag.Parse()
 
 	f, err := bitstr.Parse(*factor)
-	if err != nil || f.Len() == 0 {
+	if err != nil {
 		log.Fatalf("invalid factor %q: %v", *factor, err)
+	}
+	if f.Len() == 0 {
+		log.Fatal("empty forbidden factor")
 	}
 
 	singleRoute := *srcWord != "" || *dstWord != "" || *srcRank >= 0 || *dstRank >= 0
 	if singleRoute || *dim > core.MaxBuildDim {
 		routeImplicit(f, *dim, *srcWord, *dstWord, *srcRank, *dstRank)
 		return
+	}
+	if err := core.CheckBuild(*dim, f); err != nil {
+		log.Fatal(err)
 	}
 
 	n := network.New(core.New(*dim, f))

@@ -114,42 +114,6 @@ func (a *DFA) Enumerate(d int, fn func(bitstr.Word) bool) {
 	rec(0, 0, 0)
 }
 
-// Vertices returns the packed values of all words of length d avoiding the
-// factor, in increasing order. These are exactly the vertices of Q_d(f).
-func (a *DFA) Vertices(d int) []uint64 {
-	return a.AppendVertices(make([]uint64, 0, 1024), d)
-}
-
-// AppendVertexStates is AppendVertices with the automaton run annotated:
-// alongside each packed word appended to dst, the DFA state reached after
-// reading that word is appended to states (always a live state < m, so it
-// fits a byte: m <= bitstr.MaxLen). The two slices extend in lockstep.
-//
-// The annotation is what makes cube construction incremental: the f-free
-// extensions of a word w by one trailing bit c are decided by one delta
-// step from w's recorded state, so Q_{d+1}(f) is a filter over Q_d(f)
-// instead of a fresh enumeration (see core.ColumnBuilder).
-func (a *DFA) AppendVertexStates(dst []uint64, states []uint8, d int) ([]uint64, []uint8) {
-	if d < 0 || d > bitstr.MaxLen {
-		panic(fmt.Sprintf("automaton: dimension %d out of range", d))
-	}
-	var rec func(prefix uint64, pos, state int)
-	rec = func(prefix uint64, pos, state int) {
-		if pos == d {
-			dst = append(dst, prefix)
-			states = append(states, uint8(state))
-			return
-		}
-		for c := uint64(0); c < 2; c++ {
-			if next := a.delta[state][c]; next != a.m {
-				rec(prefix<<1|c, pos+1, next)
-			}
-		}
-	}
-	rec(0, 0, 0)
-	return dst, states
-}
-
 // StateBits returns the DFA state after reading the length-d word with
 // packed value bits, stopping at the absorbing state m as soon as the
 // factor occurs. A return value < m proves the word is f-free.
@@ -166,8 +130,8 @@ func (a *DFA) StateBits(bits uint64, d int) int {
 
 // AppendVertices appends the packed values of all words of length d avoiding
 // the factor to dst, in increasing order, and returns the extended slice.
-// Passing a recycled dst[:0] amortizes the enumeration buffer across a grid
-// sweep.
+// These are exactly the vertices of Q_d(f). Passing a recycled dst[:0]
+// amortizes the enumeration buffer across repeated calls.
 func (a *DFA) AppendVertices(dst []uint64, d int) []uint64 {
 	a.Enumerate(d, func(w bitstr.Word) bool {
 		dst = append(dst, w.Bits)

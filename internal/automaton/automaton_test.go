@@ -57,7 +57,7 @@ func TestEnumerateMatchesFilter(t *testing.T) {
 				}
 				return true
 			})
-			got := a.Vertices(d)
+			got := a.AppendVertices(nil, d)
 			if len(got) != len(want) {
 				t.Fatalf("f=%s d=%d: %d vertices, want %d", fs, d, len(got), len(want))
 			}
@@ -98,7 +98,7 @@ func TestCountVerticesMatchesEnumeration(t *testing.T) {
 	for _, fs := range []string{"1", "11", "10", "101", "110", "111", "1010", "1100", "11010", "10101"} {
 		a := New(bitstr.MustParse(fs))
 		for d := 0; d <= 11; d++ {
-			want := int64(len(a.Vertices(d)))
+			want := int64(len(a.AppendVertices(nil, d)))
 			if got := a.CountVertices(d); got.Cmp(big.NewInt(want)) != 0 {
 				t.Errorf("f=%s d=%d: DP count %s, enumeration %d", fs, d, got, want)
 			}
@@ -121,7 +121,7 @@ func TestCountVerticesSeqConsistent(t *testing.T) {
 // brute-force edge and square counts by enumeration, for cross-checking DPs.
 func bruteEdges(f bitstr.Word, d int) int64 {
 	a := New(f)
-	verts := a.Vertices(d)
+	verts := a.AppendVertices(nil, d)
 	inV := make(map[uint64]bool, len(verts))
 	for _, v := range verts {
 		inV[v] = true
@@ -140,7 +140,7 @@ func bruteEdges(f bitstr.Word, d int) int64 {
 
 func bruteSquares(f bitstr.Word, d int) int64 {
 	a := New(f)
-	verts := a.Vertices(d)
+	verts := a.AppendVertices(nil, d)
 	inV := make(map[uint64]bool, len(verts))
 	for _, v := range verts {
 		inV[v] = true
@@ -211,6 +211,31 @@ func TestCountHypercubeDegenerate(t *testing.T) {
 		}
 		if got := a.CountSquares(d); got.Int64() != ws {
 			t.Errorf("d=%d squares %s want %d", d, got, ws)
+		}
+	}
+}
+
+// TestStateBitsAbsorbing checks the early absorbing-state return on a
+// word containing the factor, including one where the factor occurs
+// strictly inside the word, and that StateBits agrees with Avoids on
+// every short word.
+func TestStateBitsAbsorbing(t *testing.T) {
+	a := New(bitstr.MustParse("11"))
+	if got := a.StateBits(0b0110, 4); got != a.States() {
+		t.Fatalf("StateBits(0110) = %d, want absorbing %d", got, a.States())
+	}
+	if got := a.StateBits(0b0101, 4); got == a.States() {
+		t.Fatal("StateBits(0101) hit the absorbing state on an 11-free word")
+	}
+	for _, fs := range []string{"1", "101", "1100", "11010"} {
+		a := New(bitstr.MustParse(fs))
+		for d := 0; d <= 9; d++ {
+			bitstr.ForEach(d, func(w bitstr.Word) bool {
+				if got := a.StateBits(w.Bits, d) < a.States(); got != a.Avoids(w) {
+					t.Fatalf("f=%s: StateBits(%s) live = %v, Avoids = %v", fs, w, got, !got)
+				}
+				return true
+			})
 		}
 	}
 }

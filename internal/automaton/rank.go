@@ -35,10 +35,6 @@ type Ranker struct {
 	// (see LoadRanker): the memory may be read-only, so Reset must
 	// reallocate instead of writing into it.
 	shared bool
-	// walkStates/walkRanks are FlipUpRanks scratch (prefix path of the
-	// probed word), allocated on first use and reused.
-	walkStates []int
-	walkRanks  []uint64
 }
 
 // NewRanker prepares rank/unrank tables for words of length d avoiding f.
@@ -58,8 +54,7 @@ func (a *DFA) Ranker(d int) *Ranker {
 
 // Reset rebuilds the tables for automaton a and dimension d in place,
 // reusing the suffix-table allocation when it has capacity. A zero Ranker
-// is valid input; grid sweeps keep one Ranker per worker and Reset it per
-// cell, making repeated cube constructions allocation-free.
+// is valid input.
 func (r *Ranker) Reset(a *DFA, d int) {
 	if d < 0 || d > bitstr.MaxLen {
 		panic(fmt.Sprintf("automaton: ranker dimension %d out of range [0, %d]", d, bitstr.MaxLen))
@@ -106,8 +101,8 @@ func (r *Ranker) Total() *big.Int { return new(big.Int).SetUint64(r.total) }
 
 // RankBits returns the index of the word with packed value bits (length d
 // implied) in the increasing enumeration of f-free words, and whether the
-// word is f-free. This is the allocation-free hot path used for bulk
-// membership-with-index probes such as cube edge construction.
+// word is f-free. This is the allocation-free hot path behind Cube.Rank
+// and the vertex check of cube artifact loads.
 func (r *Ranker) RankBits(bits uint64) (uint64, bool) {
 	m, stride := r.dfa.m, r.d+1
 	delta, suffix := r.dfa.delta, r.suffix
@@ -130,83 +125,6 @@ func (r *Ranker) RankBits(bits uint64) (uint64, bool) {
 		}
 	}
 	return rank, true
-}
-
-// FlipUpRanks visits every increasing single-bit flip of an f-free word
-// (packed value bits, length d implied): for each position holding a 0
-// whose flip to 1 yields another f-free word, fn receives the 0-based
-// position from the left and the flipped word's rank. Flips are visited
-// rightmost position first, i.e. in increasing flipped packed value —
-// the edge order of explicit cube construction. It returns false without
-// calling fn if the word itself contains the factor.
-//
-// The word's prefix state/rank path is computed once and shared across
-// the probes, so a probe flipping position p costs O(d-p) instead of the
-// O(d) of an independent RankBits call — about half the table walks of
-// the naive loop, and no binary search anywhere.
-//
-// FlipUpRanks reuses internal scratch and must not be called from
-// multiple goroutines on one Ranker; the pure query methods (RankBits,
-// RankU64, UnrankU64 and the big.Int wrappers) stay read-only and safe
-// for concurrent use.
-func (r *Ranker) FlipUpRanks(bits uint64, fn func(pos int, rank uint64)) bool {
-	d, m, stride := r.d, r.dfa.m, r.d+1
-	delta, suffix := r.dfa.delta, r.suffix
-	if cap(r.walkStates) <= d {
-		r.walkStates = make([]int, d+1)
-		r.walkRanks = make([]uint64, d+1)
-	}
-	// states[p] / pranks[p]: DFA state and rank contribution of the first
-	// p characters.
-	states, pranks := r.walkStates[:d+1], r.walkRanks[:d+1]
-	states[0], pranks[0] = 0, 0
-	s := 0
-	var rank uint64
-	for p := 0; p < d; p++ {
-		k := d - 1 - p
-		if bits>>uint(k)&1 == 1 {
-			if t0 := delta[s][0]; t0 != m {
-				rank += suffix[t0*stride+k]
-			}
-			s = delta[s][1]
-		} else {
-			s = delta[s][0]
-		}
-		if s == m {
-			return false
-		}
-		states[p+1] = s
-		pranks[p+1] = rank
-	}
-	for p := d - 1; p >= 0; p-- {
-		k := d - 1 - p
-		if bits>>uint(k)&1 == 1 {
-			continue
-		}
-		// Set the 0 at position p: every word sharing the prefix with a 0
-		// here precedes the flipped word.
-		s := states[p]
-		flipped := pranks[p] + suffix[delta[s][0]*stride+k]
-		s = delta[s][1]
-		for q := p + 1; q < d; q++ {
-			if s == m {
-				break
-			}
-			kq := d - 1 - q
-			if bits>>uint(kq)&1 == 1 {
-				if z := delta[s][0]; z != m {
-					flipped += suffix[z*stride+kq]
-				}
-				s = delta[s][1]
-			} else {
-				s = delta[s][0]
-			}
-		}
-		if s != m {
-			fn(p, flipped)
-		}
-	}
-	return true
 }
 
 // RankU64 returns the index of w in the increasing enumeration of f-free

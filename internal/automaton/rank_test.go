@@ -13,7 +13,7 @@ func TestRankerRoundTripSmall(t *testing.T) {
 		f := bitstr.MustParse(fs)
 		for d := 0; d <= 10; d++ {
 			r := NewRanker(f, d)
-			verts := New(f).Vertices(d)
+			verts := New(f).AppendVertices(nil, d)
 			if r.Total().Int64() != int64(len(verts)) {
 				t.Fatalf("f=%s d=%d: total %s, enumeration %d", fs, d, r.Total(), len(verts))
 			}

@@ -11,8 +11,8 @@ import (
 // Column-cache effectiveness counters, exported on the service and fabric
 // /metrics+/stats surfaces. A "reuse" is a cell served off the cached
 // column (same-d hit or a single-step extension); a "rebuild" is a cell
-// that had to construct from scratch (new factor, a dimension jump, or a
-// cold builder).
+// that had to restart the chain from Q_0 (new factor, a dimension jump, or
+// a cold builder). New keeps a builder of its own and counts neither.
 var (
 	columnReuse   atomic.Uint64
 	columnRebuild atomic.Uint64
@@ -28,20 +28,21 @@ func ColumnCounters() (reuse, rebuild uint64) {
 // vertices of Q_{d+1}(f) are exactly the f-free one-bit extensions of the
 // vertices of Q_d(f), and its edges are the edges of Q_d(f) lifted through
 // the extension map plus the perfect-matching-style cross layer u·0 ~ u·1
-// (the generalization of Hsu's Γ_d = 0Γ_{d-1} + 10Γ_{d-2}).
+// (the generalization of Hsu's Γ_d = 0Γ_{d-1} + 10Γ_{d-2}). It is the only
+// construction algorithm: New runs the same chain from Q_0(f).
 //
 // Each cached vertex is annotated with the DFA state its word drives the
 // factor automaton to, so the step to d+1 is a single O(|V_{d+1}|) filter
 // (one delta step per child, drop the dead ones) followed by an
 // O(|V|+|E|) edge lift that assembles the new CSR arena directly in
-// sorted order — no re-enumeration, no re-ranking, no edge sort. See
+// sorted order — no re-enumeration, no ranking, no edge sort. See
 // docs/incremental-build.md for why the emitted order is already sorted.
 //
 // Advance with the same factor and d equal to the cached dimension or one
-// above it reuses the column; anything else falls back to a from-scratch
-// rebuild (which also re-seeds the column). Produced cubes are
-// byte-identical to New's and own their memory; the builder only retains
-// scratch. Not safe for concurrent use: one per worker, like Scratch.
+// above it reuses the column; anything else is a rebuild, which restarts
+// the chain from Q_0(f) and re-seeds the column. Produced cubes own their
+// memory; the builder only retains scratch. Not safe for concurrent use:
+// one per worker, like Scratch.
 type ColumnBuilder struct {
 	dfa  *automaton.DFA
 	f    bitstr.Word
@@ -56,9 +57,7 @@ type ColumnBuilder struct {
 	// Per-extension scratch, reused across steps.
 	child0, child1 []int32 // old index -> new index of the 0/1-child, -1 if dead
 	statesBuf      []uint8
-	vertsBuf       []uint64
 	csr            *graph.CSRBuilder
-	eb             *graph.Builder // rebuild path's edge arena
 }
 
 // NewColumnBuilder returns an empty builder; buffers grow on first use.
@@ -67,17 +66,20 @@ func NewColumnBuilder() *ColumnBuilder {
 }
 
 // CanAdvance reports whether Advance(d, f) would be served off the cached
-// column (a reuse) rather than a from-scratch rebuild.
+// column (a reuse) rather than a rebuild.
 func (b *ColumnBuilder) CanAdvance(d int, f bitstr.Word) bool {
 	return b.cube != nil && b.f == f && d >= 0 && d <= MaxBuildDim &&
 		(d == b.cube.d || d == b.cube.d+1)
 }
 
 // Advance returns Q_d(f), incrementally when the request continues the
-// cached column and from scratch otherwise. The returned cube owns its
-// memory and stays valid across further builder use.
+// cached column and by restarting the chain from Q_0(f) otherwise. It
+// panics with CheckBuild's error on invalid arguments. The returned cube
+// owns its memory and stays valid across further builder use.
 func (b *ColumnBuilder) Advance(d int, f bitstr.Word) *Cube {
-	checkBuild(d, f)
+	if err := CheckBuild(d, f); err != nil {
+		panic(err)
+	}
 	if b.cube != nil && b.f == f {
 		switch d {
 		case b.cube.d:
@@ -88,12 +90,13 @@ func (b *ColumnBuilder) Advance(d int, f bitstr.Word) *Cube {
 				b.annotate()
 			}
 			b.extend()
+			b.cube.rk = b.dfa.Ranker(d)
 			columnReuse.Add(1)
 			return b.cube
 		}
 	}
 	columnRebuild.Add(1)
-	b.rebuild(d, f)
+	b.restart(d, f)
 	return b.cube
 }
 
@@ -120,26 +123,30 @@ func (b *ColumnBuilder) annotate() {
 	b.annotated = true
 }
 
-// rebuild constructs Q_d(f) from scratch through the builder's scratch
-// buffers and re-seeds the column with it, annotation included for free
-// (the enumeration records each word's final DFA state as it goes).
-func (b *ColumnBuilder) rebuild(d int, f bitstr.Word) {
+// restart re-seeds the column at Q_0(f) — the empty word, which every
+// nonempty factor leaves as the single vertex, in the start state — and
+// extends it d times. The rank tables of Q_d(f) are built once, up front:
+// their vertex count bounds the step scratch of the whole chain, because
+// |V(Q_k(f))| is nondecreasing in k (of the two one-bit extensions of an
+// f-free word, at most one ends in f).
+func (b *ColumnBuilder) restart(d int, f bitstr.Word) {
 	if b.dfa == nil || b.f != f {
-		b.dfa = automaton.New(f)
-		b.f = f
+		b.dfa, b.f = automaton.New(f), f
 	}
-	b.vertsBuf, b.states = b.dfa.AppendVertexStates(b.vertsBuf[:0], b.states[:0], d)
-	verts := make([]uint64, len(b.vertsBuf))
-	copy(verts, b.vertsBuf)
 	rk := b.dfa.Ranker(d)
-	if b.eb == nil {
-		b.eb = graph.NewBuilder(len(verts))
-	} else {
-		b.eb.Reset(len(verts))
+	if n := int(rk.TotalU64()); cap(b.child0) < n {
+		b.child0, b.child1 = make([]int32, 0, n), make([]int32, 0, n)
+		b.states, b.statesBuf = make([]uint8, 0, n), make([]uint8, 0, n)
 	}
-	g := buildEdges(verts, rk, b.eb)
-	b.cube = &Cube{d: d, f: f, dfa: b.dfa, rk: rk, verts: verts, g: g}
+	b.csr.Reset(1)
+	b.csr.Seal()
+	b.cube = &Cube{d: 0, f: f, dfa: b.dfa, verts: []uint64{0}, g: b.csr.Build()}
+	b.states = append(b.states[:0], 0)
 	b.annotated = true
+	for b.cube.d < d {
+		b.extend()
+	}
+	b.cube.rk = rk
 }
 
 // extend steps the cached column from d to d+1.
@@ -282,7 +289,7 @@ func (b *ColumnBuilder) extend() {
 	g := b.csr.Build()
 
 	d := old.d + 1
-	b.cube = &Cube{d: d, f: b.f, dfa: b.dfa, rk: b.dfa.Ranker(d), verts: verts, g: g}
+	b.cube = &Cube{d: d, f: b.f, dfa: b.dfa, verts: verts, g: g}
 	b.states, b.statesBuf = b.statesBuf, b.states
 	b.annotated = true
 }

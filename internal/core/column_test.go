@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gfcube/internal/bitstr"
+	"gfcube/internal/graph"
 )
 
 // allFactors returns every factor word of length 1..maxLen — the full
@@ -21,19 +22,50 @@ func allFactors(maxLen int) []bitstr.Word {
 	return out
 }
 
-// sameCube asserts byte-identical serialized form: vertex enumeration and
-// CSR graph, the strongest equivalence the store's artifact format can
-// express.
-func sameCube(t *testing.T, got, want *Cube) {
+// naiveCube builds Q_d(f) straight from the definition, sharing no code
+// with the column chain: the vertices are the words of length d without f
+// as a factor (bitstr.ForEach + HasFactor, already in increasing packed
+// order), and every pair at Hamming distance 1 is an edge, found by
+// flipping each bit and looking the result up. graph.Builder sorts the
+// CSR. The reference carries only what AppendBinary serializes, so it is
+// for comparison, not for queries.
+func naiveCube(d int, f bitstr.Word) *Cube {
+	var verts []uint64
+	bitstr.ForEach(d, func(w bitstr.Word) bool {
+		if !w.HasFactor(f) {
+			verts = append(verts, w.Bits)
+		}
+		return true
+	})
+	index := make(map[uint64]int, len(verts))
+	for i, v := range verts {
+		index[v] = i
+	}
+	gb := graph.NewBuilder(len(verts))
+	for i, v := range verts {
+		for p := 0; p < d; p++ {
+			if j, ok := index[v^1<<uint(p)]; ok && j > i {
+				gb.AddEdge(i, j)
+			}
+		}
+	}
+	return &Cube{d: d, f: f, verts: verts, g: gb.Build()}
+}
+
+// sameCube asserts byte-identical serialized form against the naive
+// reference: vertex enumeration and CSR graph, the strongest equivalence
+// the store's artifact format can express.
+func sameCube(t *testing.T, got *Cube, d int, f bitstr.Word) {
 	t.Helper()
-	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
-		t.Fatalf("Q_%d(%s): incremental cube differs from New", want.D(), want.Factor())
+	if !bytes.Equal(got.AppendBinary(nil), naiveCube(d, f).AppendBinary(nil)) {
+		t.Fatalf("Q_%d(%s): built cube differs from the naive reference", d, f)
 	}
 }
 
 // TestColumnBuilderMatchesNew walks every |f| <= 4 column from d = 0 to
 // 12 through one ColumnBuilder per factor and demands byte-identical
-// verts + CSR against from-scratch construction at every step.
+// verts + CSR against the naive reference at every step, for the column
+// and for New alike.
 func TestColumnBuilderMatchesNew(t *testing.T) {
 	const maxD = 12
 	for _, f := range allFactors(4) {
@@ -42,43 +74,70 @@ func TestColumnBuilderMatchesNew(t *testing.T) {
 			if d > 0 && !b.CanAdvance(d, f) {
 				t.Fatalf("CanAdvance(%d, %s) = false mid-column", d, f)
 			}
-			sameCube(t, b.Advance(d, f), New(d, f))
+			want := naiveCube(d, f).AppendBinary(nil)
+			if !bytes.Equal(b.Advance(d, f).AppendBinary(nil), want) {
+				t.Fatalf("Q_%d(%s): column cube differs from the naive reference", d, f)
+			}
+			if !bytes.Equal(New(d, f).AppendBinary(nil), want) {
+				t.Fatalf("Q_%d(%s): New differs from the naive reference", d, f)
+			}
 		}
 	}
 }
 
-// TestColumnBuilderRebuilds covers the fallback paths: dimension jumps in
-// both directions and a factor switch must rebuild from scratch (bumping
-// the rebuild counter) and still produce exact cubes, re-seeding the
-// column so the next step is incremental again.
+// TestColumnBuilderRebuilds covers the rebuild paths: dimension jumps in
+// both directions and a factor switch must restart the chain from Q_0
+// (bumping the rebuild counter) and still produce exact cubes, re-seeding
+// the column so the next step is incremental again. New, which runs the
+// chain on a builder of its own, must move neither counter.
 func TestColumnBuilderRebuilds(t *testing.T) {
 	f1 := bitstr.MustParse("11")
 	f2 := bitstr.MustParse("101")
 	b := NewColumnBuilder()
+	const (
+		rebuild = iota
+		reuse
+		viaNew
+	)
 	steps := []struct {
-		d int
-		f bitstr.Word
+		d    int
+		f    bitstr.Word
+		want int
 	}{
-		{5, f1},  // cold: rebuild
-		{3, f1},  // jump down: rebuild
-		{9, f1},  // jump up: rebuild
-		{10, f1}, // +1: reuse
-		{10, f2}, // factor switch: rebuild
-		{11, f2}, // +1: reuse
+		{5, f1, rebuild},  // cold: rebuild
+		{3, f1, rebuild},  // jump down: rebuild
+		{9, f1, rebuild},  // jump up: rebuild
+		{10, f1, reuse},   // +1: reuse
+		{10, f2, rebuild}, // factor switch: rebuild
+		{12, f2, viaNew},  // New: no counter moves
+		{11, f2, reuse},   // +1: reuse
 	}
-	wantRebuilds := []bool{true, true, true, false, true, false}
 	for i, st := range steps {
 		r0, b0 := ColumnCounters()
-		if can := b.CanAdvance(st.d, st.f); can != !wantRebuilds[i] {
-			t.Fatalf("step %d: CanAdvance(%d, %s) = %v, want %v", i, st.d, st.f, can, !wantRebuilds[i])
+		var got *Cube
+		if st.want == viaNew {
+			got = New(st.d, st.f)
+		} else {
+			if can := b.CanAdvance(st.d, st.f); can != (st.want == reuse) {
+				t.Fatalf("step %d: CanAdvance(%d, %s) = %v, want %v", i, st.d, st.f, can, st.want == reuse)
+			}
+			got = b.Advance(st.d, st.f)
 		}
-		sameCube(t, b.Advance(st.d, st.f), New(st.d, st.f))
+		sameCube(t, got, st.d, st.f)
 		r1, b1 := ColumnCounters()
-		if wantRebuilds[i] && (b1 != b0+1 || r1 != r0) {
-			t.Fatalf("step %d: counters moved reuse %d->%d rebuild %d->%d, want a rebuild", i, r0, r1, b0, b1)
-		}
-		if !wantRebuilds[i] && (r1 != r0+1 || b1 != b0) {
-			t.Fatalf("step %d: counters moved reuse %d->%d rebuild %d->%d, want a reuse", i, r0, r1, b0, b1)
+		switch st.want {
+		case rebuild:
+			if b1 != b0+1 || r1 != r0 {
+				t.Fatalf("step %d: counters moved reuse %d->%d rebuild %d->%d, want a rebuild", i, r0, r1, b0, b1)
+			}
+		case reuse:
+			if r1 != r0+1 || b1 != b0 {
+				t.Fatalf("step %d: counters moved reuse %d->%d rebuild %d->%d, want a reuse", i, r0, r1, b0, b1)
+			}
+		case viaNew:
+			if r1 != r0 || b1 != b0 {
+				t.Fatalf("step %d: New moved the counters reuse %d->%d rebuild %d->%d", i, r0, r1, b0, b1)
+			}
 		}
 	}
 }
@@ -100,18 +159,22 @@ func TestColumnBuilderSameDimHit(t *testing.T) {
 	}
 }
 
-// TestColumnBuilderAdopt seeds the column with an externally built cube
-// (the store-load path) and extends it: annotation is recomputed lazily
-// and the extension must still be exact.
+// TestColumnBuilderAdopt seeds the column with a cube loaded from the
+// naive reference's artifact bytes (the store-load path) and extends it:
+// annotation is recomputed lazily and the extension must still be exact.
 func TestColumnBuilderAdopt(t *testing.T) {
 	f := bitstr.MustParse("1010")
+	loaded, err := LoadCube(naiveCube(7, f).AppendBinary(nil), 7, f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := NewColumnBuilder()
-	b.Adopt(New(7, f))
+	b.Adopt(loaded)
 	if !b.CanAdvance(8, f) {
 		t.Fatal("CanAdvance after Adopt = false")
 	}
-	sameCube(t, b.Advance(8, f), New(8, f))
-	sameCube(t, b.Advance(9, f), New(9, f))
+	sameCube(t, b.Advance(8, f), 8, f)
+	sameCube(t, b.Advance(9, f), 9, f)
 }
 
 // TestScratchCubeColumnPath drives the public Scratch entry point down an
@@ -123,7 +186,7 @@ func TestScratchCubeColumnPath(t *testing.T) {
 	ctx := context.Background()
 	for d := 0; d <= 11; d++ {
 		c := s.Cube(ctx, d, f)
-		sameCube(t, c, New(d, f))
+		sameCube(t, c, d, f)
 		for i := 0; i < c.N(); i++ {
 			w := c.Word(i)
 			if r, ok := c.Rank(w); !ok || r != i {
@@ -143,7 +206,7 @@ func TestScratchCubeColumnPath(t *testing.T) {
 
 // FuzzColumnBuild drives arbitrary (factor, start dimension, step count)
 // columns through the incremental builder and cross-checks every produced
-// cube byte-for-byte against from-scratch construction.
+// cube byte-for-byte against the naive reference.
 func FuzzColumnBuild(f *testing.F) {
 	f.Add(uint64(0b11), 2, 0, 6)
 	f.Add(uint64(0b1010), 4, 3, 5)
@@ -155,11 +218,7 @@ func FuzzColumnBuild(f *testing.F) {
 		factor := bitstr.Word{Bits: fb & (^uint64(0) >> uint(64-fn)), N: fn}
 		b := NewColumnBuilder()
 		for d := d0; d <= d0+steps; d++ {
-			got := b.Advance(d, factor)
-			want := New(d, factor)
-			if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
-				t.Fatalf("Q_%d(%s): incremental cube differs from New", d, factor)
-			}
+			sameCube(t, b.Advance(d, factor), d, factor)
 		}
 	})
 }

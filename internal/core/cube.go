@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -36,43 +37,37 @@ type Cube struct {
 }
 
 // New constructs Q_d(f). The forbidden factor must be nonempty and d must be
-// small enough for explicit construction (the vertex count is at most 2^d).
-// Grid sweeps that construct many cubes should go through Scratch.Cube,
-// which amortizes buffers and builds whole columns incrementally.
+// small enough for explicit construction (the vertex count is at most 2^d);
+// New panics with CheckBuild's error otherwise.
+//
+// The cube is built by the paper's recursive decomposition: starting from
+// Q_0(f), the single empty word, each of d column steps keeps the f-free
+// one-bit extensions of the previous vertices and lifts its edges (see
+// ColumnBuilder). New uses a builder of its own, so it is safe for
+// concurrent use and leaves the column counters alone. Grid sweeps that
+// construct many cubes should go through Scratch.Cube, which keeps the
+// column between cells.
 func New(d int, f bitstr.Word) *Cube {
-	checkBuild(d, f)
-	dfa := automaton.New(f)
-	verts := dfa.Vertices(d)
-	rk := dfa.Ranker(d)
-	c := &Cube{d: d, f: f, dfa: dfa, rk: rk, verts: verts}
-	c.g = buildEdges(verts, rk, graph.NewBuilder(len(verts)))
-	return c
+	if err := CheckBuild(d, f); err != nil {
+		panic(err)
+	}
+	b := NewColumnBuilder()
+	b.restart(d, f)
+	return b.cube
 }
 
-// checkBuild validates the arguments of explicit construction, shared by
-// the from-scratch and column-incremental entry points.
-func checkBuild(d int, f bitstr.Word) {
+// CheckBuild validates the arguments of explicit construction: the factor
+// must be nonempty and 0 <= d <= MaxBuildDim. New, ColumnBuilder.Advance
+// and Scratch.Cube panic with its error, LoadCube returns it, and
+// front ends call it to reject bad input before doing any work.
+func CheckBuild(d int, f bitstr.Word) error {
 	if f.Len() == 0 {
-		panic("core: empty forbidden factor")
+		return errors.New("core: empty forbidden factor")
 	}
 	if d < 0 || d > MaxBuildDim {
-		panic(fmt.Sprintf("core: explicit construction limited to 0 <= d <= %d, got %d", MaxBuildDim, d))
+		return fmt.Errorf("core: explicit construction limited to 0 <= d <= %d, got %d", MaxBuildDim, d)
 	}
-}
-
-// buildEdges runs the from-scratch edge pass over a sorted vertex
-// enumeration: each flipped word is ranked through the DFA counting tables
-// instead of binary-searching verts per probe — FlipUpRanks shares the
-// vertex's prefix walk across its probes, so membership test and neighbor
-// index come out of one pass over in-cache tables.
-func buildEdges(verts []uint64, rk *automaton.Ranker, b *graph.Builder) *graph.Graph {
-	cur := 0
-	emit := func(_ int, j uint64) { b.AddEdge(cur, int(j)) }
-	for i, v := range verts {
-		cur = i
-		rk.FlipUpRanks(v, emit)
-	}
-	return b.Build()
+	return nil
 }
 
 // Fibonacci returns the Fibonacci cube Γ_d = Q_d(11).
@@ -118,9 +113,9 @@ func (c *Cube) Rank(w bitstr.Word) (int, bool) {
 }
 
 // rank resolves a packed length-d word to its vertex index through the
-// DFA rank tables: one O(d) walk over in-cache counting tables, the same
-// machinery the build path uses, instead of a binary search over verts
-// (whose log n probes each risk a cache miss on large cubes).
+// DFA rank tables: one O(d) walk over in-cache counting tables instead of
+// a binary search over verts (whose log n probes each risk a cache miss on
+// large cubes).
 func (c *Cube) rank(v uint64) (int, bool) {
 	r, ok := c.rk.RankBits(v)
 	if !ok {

@@ -208,6 +208,48 @@ func TestNewPanics(t *testing.T) {
 	assert("huge d", func() { New(31, w("11")) })
 }
 
+// TestCheckBuild pins the one validation rule of explicit construction
+// and checks that New panics with, and LoadCube returns, the same error.
+func TestCheckBuild(t *testing.T) {
+	cases := []struct {
+		d    int
+		f    bitstr.Word
+		want string // "" for valid arguments
+	}{
+		{0, w("11"), ""},
+		{MaxBuildDim, w("0"), ""},
+		{5, w("10110"), ""},
+		{3, bitstr.Word{}, "core: empty forbidden factor"},
+		{-1, bitstr.Word{}, "core: empty forbidden factor"},
+		{-1, w("11"), "core: explicit construction limited to 0 <= d <= 30, got -1"},
+		{MaxBuildDim + 1, w("11"), "core: explicit construction limited to 0 <= d <= 30, got 31"},
+	}
+	for _, tc := range cases {
+		err := CheckBuild(tc.d, tc.f)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("CheckBuild(%d, %q) = %v, want nil", tc.d, tc.f, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("CheckBuild(%d, %q) = %v, want %q", tc.d, tc.f, err, tc.want)
+			continue
+		}
+		if _, lerr := LoadCube(nil, tc.d, tc.f); lerr == nil || lerr.Error() != tc.want {
+			t.Errorf("LoadCube(nil, %d, %q) = %v, want %q", tc.d, tc.f, lerr, tc.want)
+		}
+		func() {
+			defer func() {
+				if r, ok := recover().(error); !ok || r.Error() != tc.want {
+					t.Errorf("New(%d, %q) panicked with %v, want %q", tc.d, tc.f, r, tc.want)
+				}
+			}()
+			New(tc.d, tc.f)
+		}()
+	}
+}
+
 func TestProposition61DegreeAndDiameter(t *testing.T) {
 	// For embeddable f (|f| > 1, f != 10, 01), max degree and diameter of
 	// Q_d(f) are both d.

@@ -11,11 +11,10 @@ import (
 // Scratch holds the reusable per-worker state for repeated cube
 // constructions and isometry checks across a (d, f) grid: the column
 // builder's incremental cube cache (automaton, vertex states, edge-lift
-// scratch) and the MS-BFS engine's bitset planes. A fresh construction of
-// Q_20(11) costs ~53k allocations; through a warm Scratch the next column
-// cell costs a handful (the cube's own retained memory), and when the
-// cell continues the current column it skips enumeration and edge ranking
-// entirely (see ColumnBuilder).
+// scratch) and the MS-BFS engine's bitset planes. New(d, f) runs the whole
+// chain from Q_0(f); through a warm Scratch a cell that continues the
+// current column is a single step whose only allocations are the cube's
+// own retained memory (see ColumnBuilder).
 //
 // A Scratch is not safe for concurrent use; allocate one per goroutine.
 // The sweep engine does exactly that, one per worker.
@@ -41,14 +40,16 @@ func NewScratch() *Scratch {
 // Cube is New(d, f) with incremental reuse: cells that continue the
 // cached column (same factor, dimension d or d+1 of the cached cube) are
 // served by the column builder's O(|V|+|E|) step, and anything else
-// rebuilds from scratch through recycled buffers, re-seeding the column.
+// restarts the chain from Q_0(f) through recycled buffers, re-seeding the
+// column. It panics with CheckBuild's error on invalid arguments, before
+// consulting the provider.
 // The context bounds provider loads only — cancellation between cells is
 // the sweep engine's job, and a pure in-memory build is not interruptible.
 // The returned cube owns its memory and remains valid after any further
 // use of the scratch.
 func (s *Scratch) Cube(ctx context.Context, d int, f bitstr.Word) *Cube {
-	if f.Len() == 0 {
-		panic("core: empty forbidden factor")
+	if err := CheckBuild(d, f); err != nil {
+		panic(err)
 	}
 	if s.col == nil {
 		s.col = NewColumnBuilder()

@@ -37,24 +37,24 @@ func TestScratchProviderColumnInterplay(t *testing.T) {
 	s := &Scratch{Provider: p} // zero Scratch: col is built lazily
 	ctx := context.Background()
 
-	sameCube(t, s.Cube(ctx, 6, f), New(6, f))
+	sameCube(t, s.Cube(ctx, 6, f), 6, f)
 	if p.calls != 1 {
 		t.Fatalf("cold cell consulted the provider %d times, want 1", p.calls)
 	}
 	// d+1 continues the adopted column: the provider must be skipped and
 	// the lazily annotated extension must be exact.
-	sameCube(t, s.Cube(ctx, 7, f), New(7, f))
+	sameCube(t, s.Cube(ctx, 7, f), 7, f)
 	if p.calls != 1 {
 		t.Fatalf("column cell consulted the provider (%d calls), want the incremental step", p.calls)
 	}
 	// A dimension jump goes back to the provider.
-	sameCube(t, s.Cube(ctx, 3, f), New(3, f))
+	sameCube(t, s.Cube(ctx, 3, f), 3, f)
 	if p.calls != 2 {
 		t.Fatalf("jump cell consulted the provider %d times, want 2", p.calls)
 	}
-	// Provider failure falls through to a from-scratch build.
+	// Provider failure falls through to a rebuild from Q_0.
 	p.fail = true
-	sameCube(t, s.Cube(ctx, 9, f), New(9, f))
+	sameCube(t, s.Cube(ctx, 9, f), 9, f)
 	if p.calls != 3 {
 		t.Fatalf("failing provider consulted %d times, want 3", p.calls)
 	}

@@ -52,11 +52,8 @@ func (c *Cube) AppendBinary(dst []byte) []byte {
 // structurally validated by graph.LoadFrom. The vertex and adjacency
 // arenas may alias read-only mapped memory.
 func LoadCube(data []byte, d int, f bitstr.Word) (*Cube, error) {
-	if f.Len() == 0 {
-		return nil, fmt.Errorf("core: empty forbidden factor")
-	}
-	if d < 0 || d > MaxBuildDim {
-		return nil, fmt.Errorf("core: explicit cube dimension %d out of range [0, %d]", d, MaxBuildDim)
+	if err := CheckBuild(d, f); err != nil {
+		return nil, err
 	}
 	if len(data) < 32 {
 		return nil, fmt.Errorf("core: cube payload %d bytes, want >= 32", len(data))

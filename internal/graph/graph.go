@@ -22,13 +22,10 @@ type Graph struct {
 	m   int
 }
 
-// Builder accumulates edges and produces an immutable Graph. A Builder can
-// be reused across many graphs via Reset, which retains its internal
-// buffers; this is the allocation-free path used by grid sweeps.
+// Builder accumulates edges and produces an immutable Graph.
 type Builder struct {
 	n     int
 	edges []uint64 // packed uint64(u)<<32 | v with u < v
-	off   []int32  // scratch: CSR offsets, reused across Build calls
 }
 
 // NewBuilder returns a builder for a graph on n vertices.
@@ -37,16 +34,6 @@ func NewBuilder(n int) *Builder {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
 	return &Builder{n: n}
-}
-
-// Reset clears the builder for a new graph on n vertices, retaining the
-// edge and offset buffers of previous builds.
-func (b *Builder) Reset(n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative vertex count %d", n))
-	}
-	b.n = n
-	b.edges = b.edges[:0]
 }
 
 // AddEdge records the undirected edge {u, v}. Self-loops are rejected;
@@ -65,17 +52,11 @@ func (b *Builder) AddEdge(u, v int) {
 }
 
 // Build produces the immutable graph: adjacency lists are carved out of a
-// single flat arena (CSR layout) so the only allocations are the arena and
-// the header slice. The builder may be reused afterwards via Reset.
+// single flat arena (CSR layout) so the only allocations are the offsets,
+// the arena and the header slice.
 func (b *Builder) Build() *Graph {
 	slices.Sort(b.edges)
-	if cap(b.off) < b.n+1 {
-		b.off = make([]int32, b.n+1)
-	}
-	off := b.off[:b.n+1]
-	for i := range off {
-		off[i] = 0
-	}
+	off := make([]int32, b.n+1)
 	m := 0
 	for i, e := range b.edges {
 		if i > 0 && e == b.edges[i-1] {

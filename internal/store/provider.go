@@ -36,7 +36,7 @@ func (p *Provider) Computed() uint64 { return p.computed.Load() }
 // cancellation.
 func (p *Provider) Cube(ctx context.Context, d int, f bitstr.Word) (*core.Cube, core.Source, error) {
 	k := Key{Kind: KindCube, F: f, D: d}
-	if p.store != nil && d >= 0 && d <= core.MaxBuildDim && f.Len() > 0 {
+	if p.store != nil && core.CheckBuild(d, f) == nil {
 		if payload, err := p.store.Load(k); err == nil {
 			c, err := core.LoadCube(payload, d, f)
 			if err == nil {
