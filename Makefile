@@ -39,13 +39,6 @@ SLOCONC     ?= 32
 SLOOUT      ?= loadgen-report.json
 SLOADDR     ?= 127.0.0.1:8093
 
-# Fabric-gate settings: the kill-and-resume byte-reproducibility check
-# for the sweep fabric (scripts/fabric-gate.sh). FABRICDELAY stretches
-# each leased cell so the SIGKILLs land mid-grid even on fast machines.
-FABRICMAXLEN ?= 3
-FABRICMAXD   ?= 8
-FABRICDELAY  ?= 150ms
-
 # Warm-start pack and store-gate settings. PACKDIR is where `make pack`
 # writes the shipped |f| <= 5, d <= 12 pack; the store gate builds its
 # own throwaway pack over the smaller STOREMAXLEN/STOREMAXD grid.
@@ -55,7 +48,7 @@ STOREOUT      ?= store-report.json
 STOREMAXLEN   ?= 4
 STOREMAXD     ?= 10
 
-.PHONY: all build test race test-json lint fmt vet bench bench-full bench-gate bench-baseline fuzz-smoke cover slo loadgen-compare pack store-gate fabric-gate serve clean ci
+.PHONY: all build test race test-json lint fmt vet bench bench-full bench-gate bench-baseline fuzz-smoke cover slo loadgen-compare pack store-gate serve clean ci
 
 all: build
 
@@ -192,16 +185,6 @@ store-gate:
 	$$bindir/gfc-loadgen -inprocess -profile first \
 		-first-maxlen $(STOREMAXLEN) -first-maxd $(STOREMAXD) \
 		-warm-pack $$packdir -slo $(STOREBASELINE) | tee $(STOREOUT)
-
-# Kill-and-resume gate for the sweep fabric: a sharded sweep across two
-# local gfc-serve workers, SIGKILL of one worker and then the
-# coordinator mid-grid, restart, resume from the hash-chained ledger,
-# and a byte-for-byte comparison of the resumed result set against the
-# single-process oracle. Fails on chain damage, duplicate or missing
-# cells, or any byte difference.
-fabric-gate:
-	FABRIC_MAXLEN=$(FABRICMAXLEN) FABRIC_MAXD=$(FABRICMAXD) \
-	FABRIC_CELL_DELAY=$(FABRICDELAY) GO=$(GO) ./scripts/fabric-gate.sh
 
 serve: build
 	$(GO) run ./cmd/gfc-serve

@@ -12,8 +12,6 @@
 //	          [-batch-disabled]
 //	          [-store-dir DIR] [-warm-pack DIR] [-store-max-bytes N]
 //	          [-store-disabled]
-//	          [-fabric-disabled] [-fabric-workers 1] [-fabric-max-leases 16]
-//	          [-fabric-cell-delay 0]
 //
 // The hot query endpoints (count, rank, unrank, neighbors, word-mode
 // route) sit behind a micro-batching front: concurrent requests for the
@@ -25,14 +23,6 @@
 // them zero-copy via mmap instead of rebuilding. -warm-pack additionally
 // mounts a read-only pack built by gfc-pack, preloading its precomputed
 // verdicts at startup. Corrupt artifacts always fall back to compute.
-//
-// The server also runs in fabric worker mode by default: a gfc-sweepd
-// coordinator can lease sweep-grid shards to it over the /v1/fabric
-// endpoints (POST/DELETE /v1/fabric/lease, GET /v1/fabric/report) and the
-// leased cells compute through the same artifact-store provider as
-// interactive traffic. Disable with -fabric-disabled; -fabric-cell-delay
-// exists for fault-injection tests (the fabric-gate CI job stretches a
-// small grid long enough to kill processes mid-sweep).
 //
 // Endpoints (all GET unless noted, JSON responses; see internal/README.md
 // for details):
@@ -48,8 +38,6 @@
 //	/v1/simulate?f=11&d=8             store-and-forward traffic simulation
 //	/v1/broadcast?f=11&d=8&root=..    one-to-all BFS-tree broadcast
 //	/v1/hamilton?f=11&d=8             bounded Hamiltonian path/cycle search
-//	/v1/fabric/lease (POST/DELETE)    grant, renew or revoke a sweep-shard lease
-//	/v1/fabric/report                 fetch completed lease cells by cursor
 //	/v1/admin/store                   artifact-store inventory and counters
 //	/v1/admin/warm (POST)             preload backends from the store/pack
 package main
@@ -86,10 +74,6 @@ func main() {
 	warmPack := flag.String("warm-pack", "", "read-only warm-start pack directory built by gfc-pack")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store directory size cap in bytes (0 = uncapped)")
 	storeDisabled := flag.Bool("store-disabled", false, "force pure-compute operation even with -store-dir/-warm-pack")
-	fabricDisabled := flag.Bool("fabric-disabled", false, "turn off fabric worker mode (/v1/fabric endpoints answer 404)")
-	fabricWorkers := flag.Int("fabric-workers", 0, "sweep workers per fabric lease (0 = default 1)")
-	fabricMaxLeases := flag.Int("fabric-max-leases", 0, "concurrently live fabric leases (0 = default 16)")
-	fabricCellDelay := flag.Duration("fabric-cell-delay", 0, "fault-injection pause before each leased cell (tests only)")
 	flag.Parse()
 
 	srv, err := service.New(service.Config{
@@ -104,15 +88,11 @@ func main() {
 			MaxWait:    *batchWait,
 			QueueLimit: *batchQueue,
 		},
-		BatchDisabled:   *batchDisabled,
-		StoreDir:        *storeDir,
-		WarmPack:        *warmPack,
-		StoreMaxBytes:   *storeMaxBytes,
-		StoreDisabled:   *storeDisabled,
-		FabricDisabled:  *fabricDisabled,
-		FabricWorkers:   *fabricWorkers,
-		FabricMaxLeases: *fabricMaxLeases,
-		FabricCellDelay: *fabricCellDelay,
+		BatchDisabled: *batchDisabled,
+		StoreDir:      *storeDir,
+		WarmPack:      *warmPack,
+		StoreMaxBytes: *storeMaxBytes,
+		StoreDisabled: *storeDisabled,
 	})
 	if err != nil {
 		log.Fatal(err)

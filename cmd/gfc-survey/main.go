@@ -15,20 +15,19 @@
 //	           [-parallel N] [-json] [-progress] [-store-dir DIR]
 //	           [-resume LEDGER]
 //
-// With -resume the census runs through the sweep fabric into an
-// append-only hash-chained ledger at the given path (created when
-// missing): every finished class is durable immediately, and re-running
-// the same command after a crash or Ctrl-C recomputes only the classes
-// the ledger does not hold. The rendered output is identical either way.
+// With -resume every finished class is also appended to the hash-chained
+// results ledger at the given path (created when missing; see
+// docs/results-ledger.md), so it survives a crash the moment it is
+// computed. Re-running the same command after a crash or Ctrl-C
+// recomputes only the classes the ledger does not hold. The rendered
+// output is identical either way.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -37,7 +36,6 @@ import (
 	"text/tabwriter"
 
 	"gfcube/internal/core"
-	"gfcube/internal/fabric"
 	"gfcube/internal/store"
 	"gfcube/internal/sweep"
 )
@@ -62,7 +60,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit rows as a JSON array instead of a table")
 	progress := flag.Bool("progress", false, "report per-class progress on stderr")
 	storeDir := flag.String("store-dir", "", "artifact store directory: load precomputed cubes and write back misses")
-	resume := flag.String("resume", "", "run through the sweep fabric into this ledger, resuming it if it exists")
+	resume := flag.String("resume", "", "append each finished class to this results ledger, resuming it if it exists")
 	flag.Parse()
 	if *length < 1 || *length > 10 {
 		log.Fatalf("length %d out of range [1,10]", *length)
@@ -103,26 +101,27 @@ func main() {
 			}
 		}
 	}
-	var rows []row
+	spec := sweep.GridSpec{MinLen: *minLen, MaxLen: *length, MaxD: *maxD, Method: method}
+	var surveyed []sweep.SurveyRow
 	if *resume != "" {
-		rows, err = fabricSurvey(ctx, *resume, *minLen, *length, *maxD, method, *parallel, opts.Provider, *progress)
-		if err != nil {
-			log.Fatal(err)
+		surveyed, err = sweep.SurveyLedger(ctx, spec, *resume, opts)
+		if err != nil && ctx.Err() != nil {
+			err = fmt.Errorf("%w (finished classes are saved; rerun to resume)", err)
 		}
 	} else {
-		spec := sweep.GridSpec{MinLen: *minLen, MaxLen: *length, MaxD: *maxD, Method: method}
-		surveyed, err := sweep.Survey(ctx, spec, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range surveyed {
-			rows = append(rows, row{
-				Factor:    r.Class.Rep.String(),
-				ClassSize: r.Class.Size,
-				FirstFail: r.FirstFail,
-				Theory:    r.Theory,
-			})
-		}
+		surveyed, err = sweep.Survey(ctx, spec, opts)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	var rows []row
+	for _, r := range surveyed {
+		rows = append(rows, row{
+			Factor:    r.Class.Rep.String(),
+			ClassSize: r.Class.Size,
+			FirstFail: r.FirstFail,
+			Theory:    r.Theory,
+		})
 	}
 	good := 0
 	for _, r := range rows {
@@ -181,70 +180,4 @@ func main() {
 		fmt.Printf("  d=%d:%d", k, hist[k])
 	}
 	fmt.Println()
-}
-
-// fabricSurvey runs (or resumes) the census through the sweep fabric:
-// one ledger cell per class, durable as soon as it is computed. The
-// ledger at path is created when missing and must carry the same grid
-// bounds when it exists.
-func fabricSurvey(ctx context.Context, path string, minLen, maxLen, maxD int, method core.Method, parallel int, provider core.Provider, progress bool) ([]row, error) {
-	sp, err := fabric.Spec{
-		Op: fabric.OpSurvey, MinLen: minLen, MaxLen: maxLen,
-		MinD: 1, MaxD: maxD, Method: method.String(),
-	}.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	l, err := fabric.OpenLedger(path, &sp)
-	if errors.Is(err, fs.ErrNotExist) {
-		l, err = fabric.CreateLedger(path, sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	if n := len(l.Records()); n > 0 {
-		fmt.Fprintf(os.Stderr, "resuming: %d/%d classes already in %s\n", n, len(sp.Cells()), path)
-	}
-
-	if parallel < 1 {
-		parallel = 1
-	}
-	var workers []fabric.Worker
-	for i := 0; i < parallel; i++ {
-		h := fabric.NewHost(fabric.HostConfig{Provider: provider})
-		defer h.Close()
-		workers = append(workers, fabric.NewLocalWorker(fmt.Sprintf("local%d", i), h))
-	}
-	opts := fabric.Options{Workers: workers}
-	if progress {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rclasses %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	co, err := fabric.NewCoordinator(sp, l, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := co.Run(ctx); err != nil {
-		return nil, fmt.Errorf("%w (finished classes are saved; rerun to resume)", err)
-	}
-
-	// Ledger records are in completion order; restore grid order (the
-	// non-fabric path's natural order) by cell index before the display
-	// sort.
-	recs := append([]fabric.Record(nil), l.Records()...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].I < recs[j].I })
-	rows := make([]row, 0, len(recs))
-	for _, rec := range recs {
-		var v fabric.SurveyValue
-		if err := json.Unmarshal(rec.V, &v); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row{Factor: rec.F, ClassSize: rec.ClassSize, FirstFail: v.FirstFail, Theory: v.Theory})
-	}
-	return rows, nil
 }

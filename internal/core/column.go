@@ -8,8 +8,8 @@ import (
 	"gfcube/internal/graph"
 )
 
-// Column-cache effectiveness counters, exported on the service and fabric
-// /metrics+/stats surfaces. A "reuse" is a cell served off the cached
+// Column-cache effectiveness counters, exported on the service's
+// /metrics and /stats surfaces. A "reuse" is a cell served off the cached
 // column (same-d hit or a single-step extension); a "rebuild" is a cell
 // that had to restart the chain from Q_0 (new factor, a dimension jump, or
 // a cold builder). New keeps a builder of its own and counts neither.

@@ -29,10 +29,6 @@ const (
 	CodeTimeout = "timeout"
 	// CodeCanceled: the client went away mid-request (HTTP 499).
 	CodeCanceled = "canceled"
-	// CodeConflict: the request names a resource that exists with
-	// different content — e.g. re-granting a fabric lease ID for a
-	// different shard (HTTP 409).
-	CodeConflict = "conflict"
 	// CodeInternal: everything else (HTTP 500).
 	CodeInternal = "internal"
 )

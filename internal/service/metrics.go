@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gfcube/internal/core"
-	"gfcube/internal/fabric"
 	"gfcube/internal/store"
 )
 
@@ -273,9 +272,9 @@ func writeHistogram(b *strings.Builder, name, labels string, h *histogram) {
 }
 
 // Render writes the whole registry in Prometheus text exposition format.
-// cache, pool, batcher, st, provider and fabricHost contribute their live
-// gauges and counters; any of them may be nil.
-func (m *Metrics) Render(cache *Cache, pool *Pool, batcher *Batcher, st *store.Store, provider *store.Provider, fabricHost *fabric.Host) string {
+// cache, pool, batcher, st and provider contribute their live gauges and
+// counters; any of them may be nil.
+func (m *Metrics) Render(cache *Cache, pool *Pool, batcher *Batcher, st *store.Store, provider *store.Provider) string {
 	var b strings.Builder
 
 	fmt.Fprintf(&b, "# HELP gfc_uptime_seconds Time since server start.\n# TYPE gfc_uptime_seconds gauge\n")
@@ -381,21 +380,11 @@ func (m *Metrics) Render(cache *Cache, pool *Pool, batcher *Batcher, st *store.S
 	colReuse, colRebuild := core.ColumnCounters()
 	fmt.Fprintf(&b, "# HELP gfc_sweep_column_reuse_total Cube constructions served incrementally off a cached class column.\n# TYPE gfc_sweep_column_reuse_total counter\ngfc_sweep_column_reuse_total %d\n", colReuse)
 	fmt.Fprintf(&b, "# HELP gfc_sweep_column_rebuild_total Cube constructions rebuilt from scratch (cold builder, new factor or dimension jump).\n# TYPE gfc_sweep_column_rebuild_total counter\ngfc_sweep_column_rebuild_total %d\n", colRebuild)
-	if fabricHost != nil {
-		fs := fabricHost.Stats()
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_active_leases Live fabric leases on this worker.\n# TYPE gfc_fabric_worker_active_leases gauge\ngfc_fabric_worker_active_leases %d\n", fs.Active)
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_leases_total Fabric leases granted.\n# TYPE gfc_fabric_worker_leases_total counter\ngfc_fabric_worker_leases_total %d\n", fs.Leases)
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_renewals_total Fabric lease renewals.\n# TYPE gfc_fabric_worker_renewals_total counter\ngfc_fabric_worker_renewals_total %d\n", fs.Renewals)
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_cells_total Sweep cells computed under fabric leases.\n# TYPE gfc_fabric_worker_cells_total counter\ngfc_fabric_worker_cells_total %d\n", fs.Cells)
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_reports_total Report fetches served.\n# TYPE gfc_fabric_worker_reports_total counter\ngfc_fabric_worker_reports_total %d\n", fs.Reports)
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_cancels_total Leases revoked by the coordinator.\n# TYPE gfc_fabric_worker_cancels_total counter\ngfc_fabric_worker_cancels_total %d\n", fs.Cancels)
-		fmt.Fprintf(&b, "# HELP gfc_fabric_worker_expired_total Leases that died without renewal.\n# TYPE gfc_fabric_worker_expired_total counter\ngfc_fabric_worker_expired_total %d\n", fs.Expired)
-	}
 	return b.String()
 }
 
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(s.metrics.Render(s.cache, s.pool, s.batcher, s.store, s.provider, s.fabric)))
+	_, _ = w.Write([]byte(s.metrics.Render(s.cache, s.pool, s.batcher, s.store, s.provider)))
 }

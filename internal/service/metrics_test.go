@@ -92,7 +92,7 @@ func TestMetricsRecordAndRender(t *testing.T) {
 		t.Fatalf("BatchTotals = (%d, %d, %d), want (1, 3, 1)", batches, n, shed)
 	}
 
-	out := m.Render(nil, nil, nil, nil, nil, nil)
+	out := m.Render(nil, nil, nil, nil, nil)
 	for _, want := range []string{
 		`gfc_requests_total{endpoint="/v1/rank",code="2xx"} 1`,
 		`gfc_requests_total{endpoint="/v1/rank",code="4xx"} 1`,

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"gfcube/internal/core"
-	"gfcube/internal/fabric"
 	"gfcube/internal/store"
 )
 
@@ -72,18 +71,6 @@ type Config struct {
 	// StoreDisabled forces pure-compute operation even when StoreDir or
 	// WarmPack is set. Exists for cold/warm A/B load comparisons.
 	StoreDisabled bool
-	// FabricDisabled turns off worker mode: the /v1/fabric endpoints
-	// answer 404 and no lease host is created.
-	FabricDisabled bool
-	// FabricWorkers bounds the sweep workers each fabric lease computes
-	// with (default 1: parallelism comes from the coordinator leasing
-	// many shards).
-	FabricWorkers int
-	// FabricMaxLeases bounds concurrently live leases (default 16).
-	FabricMaxLeases int
-	// FabricCellDelay pauses lease compute before every cell. Fault
-	// injection for the fabric-gate CI job; zero in production.
-	FabricCellDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -133,7 +120,6 @@ var endpointPaths = []string{
 	"/v1/simulate", "/v1/broadcast", "/v1/hamilton",
 	"/v1/sweep/classify", "/v1/sweep/survey", "/v1/sweep/count",
 	"/v1/sweep/fdim", "/v1/sweep/degrees", "/v1/sweep/wiener",
-	"/v1/fabric/lease", "/v1/fabric/report",
 	"/v1/admin/store", "/v1/admin/warm",
 }
 
@@ -147,7 +133,6 @@ type Server struct {
 	store    *store.Store    // nil when the store is disabled
 	provider *store.Provider // never nil; degenerates to compute
 	pack     *store.Manifest // mounted warm-pack manifest, nil without one
-	fabric   *fabric.Host    // nil when worker mode is disabled
 	metrics  *Metrics
 	start    time.Time
 
@@ -193,14 +178,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.provider = store.NewProvider(s.store)
-	if !cfg.FabricDisabled {
-		s.fabric = fabric.NewHost(fabric.HostConfig{
-			Workers:   cfg.FabricWorkers,
-			MaxLeases: cfg.FabricMaxLeases,
-			Provider:  s.provider,
-			CellDelay: cfg.FabricCellDelay,
-		})
-	}
 	if !cfg.BatchDisabled {
 		s.batcher = NewBatcher(cfg.Batch, s.metrics)
 	}
@@ -235,16 +212,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweep/fdim", s.instrument("/v1/sweep/fdim", s.handleSweepFDim))
 	mux.HandleFunc("GET /v1/sweep/degrees", s.instrument("/v1/sweep/degrees", s.handleSweepDegrees))
 	mux.HandleFunc("GET /v1/sweep/wiener", s.instrument("/v1/sweep/wiener", s.handleSweepWiener))
-	mux.HandleFunc("POST /v1/fabric/lease", s.instrument("/v1/fabric/lease", s.handleFabricLease))
-	mux.HandleFunc("DELETE /v1/fabric/lease", s.instrument("/v1/fabric/lease", s.handleFabricCancel))
-	mux.HandleFunc("GET /v1/fabric/report", s.instrument("/v1/fabric/report", s.handleFabricReport))
 	mux.HandleFunc("GET /v1/admin/store", s.instrument("/v1/admin/store", s.handleAdminStore))
 	mux.HandleFunc("POST /v1/admin/warm", s.instrument("/v1/admin/warm", s.handleAdminWarm))
 	// Requests no route matches get the v1 envelope: 405 when the path is
 	// served under another method, 404 otherwise.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		var allow []string
-		for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+		for _, m := range []string{http.MethodGet, http.MethodPost} {
 			if _, p := mux.Handler(&http.Request{Method: m, Host: r.Host, URL: r.URL}); p != "/" {
 				allow = append(allow, m)
 			}
@@ -270,9 +244,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.http.Shutdown(ctx)
 	if s.batcher != nil {
 		s.batcher.Close()
-	}
-	if s.fabric != nil {
-		s.fabric.Close()
 	}
 	return err
 }
@@ -454,10 +425,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Computed: s.provider.Computed(),
 			WarmPack: s.pack,
 		}
-	}
-	if s.fabric != nil {
-		fs := s.fabric.Stats()
-		resp.Fabric = &fs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

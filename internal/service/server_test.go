@@ -295,6 +295,7 @@ func TestUnroutedRequests(t *testing.T) {
 	}{
 		{http.MethodGet, "/v1/sweep/isoclasses", http.StatusNotFound, CodeNotFound},
 		{http.MethodPost, "/v1/count", http.StatusMethodNotAllowed, CodeBadRequest},
+		{http.MethodPost, "/v1/fabric/lease", http.StatusNotFound, CodeNotFound},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
 		if err != nil {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"gfcube/internal/fabric"
 	"gfcube/internal/store"
 )
 
@@ -382,9 +381,6 @@ type StatsResponse struct {
 	// Store is the artifact-store snapshot, absent when the store is
 	// disabled.
 	Store *StoreStatsResponse `json:"store,omitempty"`
-	// Fabric is the worker-mode lease host snapshot, absent when fabric
-	// worker mode is disabled.
-	Fabric *fabric.HostStats `json:"fabric,omitempty"`
 }
 
 // StoreStatsResponse is the artifact-store section of /stats and the body
