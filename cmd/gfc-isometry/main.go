@@ -1,7 +1,9 @@
 // Command gfc-isometry decides whether Q_d(f) is an isometric subgraph of
-// Q_d: it reports the theoretical verdict (the paper's classification), runs
-// the exact check on the explicitly built cube, and on a negative answer
-// prints p-critical word witnesses (Lemma 2.4).
+// Q_d: it reports the theoretical verdict (the paper's classification),
+// decides the explicitly built cube by the isometry criterion (the converse
+// of Lemma 2.4, see core.Cube.IsIsometric), and on a negative answer prints
+// the violating pair of least ranks with its cube distance, then up to
+// -witnesses p-critical word pairs of the smallest p <= 3 (Lemma 2.4).
 //
 // Usage:
 //

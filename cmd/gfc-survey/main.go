@@ -55,7 +55,7 @@ func main() {
 	length := flag.Int("len", 6, "largest forbidden-factor length to survey")
 	minLen := flag.Int("minlen", 0, "smallest factor length (default: same as -len)")
 	maxD := flag.Int("maxd", 11, "largest dimension to test")
-	methodName := flag.String("method", "exact", "cell decision: exact (BFS), screen (2/3-critical words) or quick (screen + exact confirmation)")
+	methodName := flag.String("method", "exact", "method recorded in the ledger spec: exact, screen or quick (every method decides cells by the same isometry criterion)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep workers")
 	jsonOut := flag.Bool("json", false, "emit rows as a JSON array instead of a table")
 	progress := flag.Bool("progress", false, "report per-class progress on stderr")

@@ -81,8 +81,8 @@ func HypercubeGraph(d int) *Graph { return hypercube.Build(d) }
 // IsometryResult reports an exact embeddability check; see Cube.IsIsometric.
 type IsometryResult = core.IsometryResult
 
-// IsIsometric builds Q_d(f) and checks whether it is an isometric subgraph
-// of Q_d.
+// IsIsometric builds Q_d(f) and decides whether it is an isometric
+// subgraph of Q_d; see Cube.IsIsometric.
 func IsIsometric(d int, f Word) IsometryResult { return core.New(d, f).IsIsometric() }
 
 // Verdict is a theoretical embeddability verdict.

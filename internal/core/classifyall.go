@@ -7,21 +7,24 @@ import (
 	"gfcube/internal/bitstr"
 )
 
-// Method selects how a grid cell — one (f, d) pair — is decided by the
-// survey machinery.
+// Method selects how a grid cell — one (f, d) pair — reports its witness.
+// Every method decides the cell by the same proven isometry criterion
+// (see Scratch.Isometric), so verdicts never depend on the method; the
+// names stay because they are part of ledger specs, the HTTP API and the
+// CLIs.
 type Method int
 
 const (
-	// MethodExact builds Q_d(f) explicitly and runs the exact BFS
-	// embeddability check (the definition in Section 2).
+	// MethodExact reports a negative cell with the violating pair of the
+	// MS-BFS distance sweep (the definition in Section 2): the pair with
+	// the smallest (source, vertex) ranks, with its cube distance.
 	MethodExact Method = iota
-	// MethodScreen builds Q_d(f) and searches for 2- and 3-critical words
-	// (Lemma 2.4). A hit proves non-embeddability; a miss is read as
-	// embeddable, which agrees with the exact check on every instance in
-	// this repository's census but is not a theorem.
+	// MethodScreen reports a negative cell with its first 2- or 3-critical
+	// pair (Lemma 2.4), cube distance -2 ("not computed"), and falls back
+	// to the MS-BFS witness when no such pair exists.
 	MethodScreen
-	// MethodQuick screens first and confirms screen-positive (embeddable)
-	// verdicts with the exact check, so every answer is proven.
+	// MethodQuick is MethodScreen; it is kept as a separate name because
+	// specs and requests already use it.
 	MethodQuick
 )
 
@@ -93,42 +96,30 @@ type Cell struct {
 	Class
 	D         int
 	Isometric bool
-	// Witness is the violating vertex pair for negative exact verdicts;
-	// nil for positive verdicts and for unconfirmed screen verdicts.
+	// Witness is the violating vertex pair of a negative verdict, in the
+	// form the method names; nil for positive verdicts.
 	Witness *IsometryResult
 }
 
-// ClassifyCell decides one grid cell with the given method, drawing all
-// construction and BFS buffers from the scratch. The context bounds the
-// scratch's provider loads; see Scratch.Cube.
+// ClassifyCell decides one grid cell by the isometry criterion, drawing
+// all construction, criterion and BFS buffers from the scratch; only a
+// negative cell pays for the witness its method names. The context bounds
+// the scratch's provider loads; see Scratch.Cube.
 func ClassifyCell(ctx context.Context, s *Scratch, cl Class, d int, m Method) Cell {
 	c := s.Cube(ctx, d, cl.Rep)
 	cell := Cell{Class: cl, D: d}
-	switch m {
-	case MethodScreen, MethodQuick:
-		if pair, found := c.HasCriticalPair(3); found {
-			// Non-isometric by Lemma 2.4; report the critical pair as the
-			// witness, with the same -2 "not computed" marker used by
-			// IsIsometricQuick for the cube distance.
-			cell.Witness = &IsometryResult{
-				U: pair.B, V: pair.C,
-				CubeDist: -2, HammingDist: int32(pair.P),
-			}
-			return cell
-		}
-		if m == MethodScreen {
-			cell.Isometric = true
-			return cell
-		}
-		fallthrough
-	default:
-		res := s.IsIsometric(c)
-		cell.Isometric = res.Isometric
-		if !res.Isometric {
-			cell.Witness = &res
-		}
+	if cell.Isometric = s.Isometric(c); cell.Isometric {
 		return cell
 	}
+	res, ok := IsometryResult{}, false
+	if m != MethodExact {
+		res, ok = c.screenWitness()
+	}
+	if !ok {
+		res = isIsometricSerial(c, s.engine(c.g))
+	}
+	cell.Witness = &res
+	return cell
 }
 
 // GridOptions bounds a classification grid. The zero value of MinLen and

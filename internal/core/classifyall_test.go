@@ -42,18 +42,29 @@ func TestScratchCubeMatchesNew(t *testing.T) {
 	}
 }
 
-// The scratch-backed exact check agrees with the serial checker, including
-// the deterministic witness.
+// The criterion-backed entry points agree with the serial all-pairs
+// checker, including the deterministic witness: Scratch.IsIsometric and
+// Cube.IsIsometric name its lex-min pair, IsIsometricQuick the first
+// critical pair of p <= 3 when there is one.
 func TestScratchIsIsometricMatchesSerial(t *testing.T) {
 	s := NewScratch()
-	for _, fs := range []string{"11", "101", "1100", "1001", "10101"} {
+	for _, fs := range []string{"1", "11", "101", "1100", "1001", "10101", "110010"} {
 		f := bitstr.MustParse(fs)
-		for d := 1; d <= 9; d++ {
+		for d := 0; d <= 9; d++ {
 			c := New(d, f)
 			want := c.IsIsometricSerial()
-			got := s.IsIsometric(c)
-			if got != want {
+			if got := s.IsIsometric(c); got != want {
 				t.Errorf("Q_%d(%s): scratch %+v vs serial %+v", d, fs, got, want)
+			}
+			if got := c.IsIsometric(); got != want {
+				t.Errorf("Q_%d(%s): parallel %+v vs serial %+v", d, fs, got, want)
+			}
+			quick := c.IsIsometricQuick()
+			if quick.Isometric != want.Isometric {
+				t.Errorf("Q_%d(%s): quick %v vs serial %v", d, fs, quick.Isometric, want.Isometric)
+			}
+			if pair, ok := c.HasCriticalPair(3); ok && (quick.U != pair.B || quick.V != pair.C || quick.CubeDist != -2) {
+				t.Errorf("Q_%d(%s): quick witness %+v, first critical pair %+v", d, fs, quick, pair)
 			}
 		}
 	}

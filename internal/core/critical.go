@@ -31,6 +31,11 @@ func (c *Cube) CriticalPairs(p, limit int) []CriticalPair {
 	return c.findCritical(p, limit)
 }
 
+// findCritical generates each unordered pair {b, c} once, from its smaller
+// endpoint b: flipping a set of positions of b yields a larger word
+// exactly when the leftmost flipped bit of b is 0, so the first recursion
+// level only flips 0 bits. Vertices are scanned in increasing order, so
+// the list is ordered by B, then by flipped positions lexicographically.
 func (c *Cube) findCritical(p, limit int) []CriticalPair {
 	if p < 2 {
 		panic("core: critical pairs require p >= 2")
@@ -51,7 +56,6 @@ func (c *Cube) findCritical(p, limit int) []CriticalPair {
 		}
 		return true
 	}
-	var base uint64
 	rec = func(start, k int, b, diff uint64) bool {
 		if k == p {
 			cBits := b ^ diff
@@ -71,42 +75,22 @@ func (c *Cube) findCritical(p, limit int) []CriticalPair {
 			return true
 		}
 		for pos := start; pos < c.d; pos++ {
-			if !rec(pos+1, k+1, b, diff|uint64(1)<<uint(c.d-1-pos)) {
+			bit := uint64(1) << uint(c.d-1-pos)
+			if k == 0 && b&bit != 0 {
+				continue
+			}
+			if !rec(pos+1, k+1, b, diff|bit) {
 				return false
 			}
 		}
 		return true
 	}
 	for _, v := range c.verts {
-		base = v
-		// Each unordered pair {b, c} is generated twice (once from each
-		// endpoint). To count each once, only accept b < c = b ^ diff;
-		// flipping a set of positions of b yields a larger word exactly when
-		// the leftmost flipped bit of b is 0. Rather than encode that in the
-		// recursion, we filter below: the recursion starts from b and the
-		// pair is kept only if b < c.
-		if !rec(0, 0, base, 0) {
+		if !rec(0, 0, v, 0) {
 			break
 		}
 	}
-	// Deduplicate mirrored pairs (b,c) vs (c,b): keep pairs with B < C and
-	// drop exact duplicates.
-	seen := make(map[[2]uint64]bool, len(out))
-	dedup := out[:0]
-	for _, pr := range out {
-		b, cc := pr.B, pr.C
-		if cc.Less(b) {
-			b, cc = cc, b
-		}
-		key := [2]uint64{b.Bits, cc.Bits}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		pr.B, pr.C = b, cc
-		dedup = append(dedup, pr)
-	}
-	return dedup
+	return out
 }
 
 // HasCriticalPair reports whether any p-critical pair exists for

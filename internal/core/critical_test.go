@@ -55,15 +55,38 @@ func TestCriticalPairsAreVerified(t *testing.T) {
 	}
 }
 
+// CriticalPairs honours its limit on every class with |f| <= 5 and
+// d <= 10: it returns min(limit, all) pairs, a prefix of the full list,
+// which holds each unordered pair once with B < C.
 func TestCriticalPairLimit(t *testing.T) {
-	c := New(7, w("101"))
-	all := c.CriticalPairs(2, 0)
-	if len(all) < 2 {
-		t.Skip("needs at least two pairs")
-	}
-	one := c.CriticalPairs(2, 1)
-	if len(one) != 1 {
-		t.Errorf("limit 1 returned %d pairs", len(one))
+	for _, cl := range Classes(1, 5) {
+		f := cl.Rep
+		for d := 2; d <= 10; d++ {
+			c := New(d, f)
+			for p := 2; p <= 3; p++ {
+				all := c.CriticalPairs(p, 0)
+				seen := map[CriticalPair]bool{}
+				for _, pr := range all {
+					if !pr.B.Less(pr.C) || seen[pr] {
+						t.Fatalf("Q_%d(%s) p=%d: pair %+v out of order or repeated", d, f, p, pr)
+					}
+					seen[pr] = true
+				}
+				for k := 1; k <= 4; k++ {
+					got := c.CriticalPairs(p, k)
+					if len(got) != min(k, len(all)) {
+						t.Fatalf("Q_%d(%s) p=%d: CriticalPairs(limit %d) returned %d of %d",
+							d, f, p, k, len(got), len(all))
+					}
+					for i := range got {
+						if got[i] != all[i] {
+							t.Fatalf("Q_%d(%s) p=%d limit %d: pair %d is %+v, want %+v",
+								d, f, p, k, i, got[i], all[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

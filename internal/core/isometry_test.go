@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -156,24 +157,36 @@ func TestSingleVertexAndEmptyGraphIsometric(t *testing.T) {
 
 func TestIsIsometricCtxCancelled(t *testing.T) {
 	// A pre-cancelled context must yield the context error and an empty
-	// result — never a witness, which could be non-minimal when batches
-	// were shed by cancellation rather than by the sound early-exit bound.
-	c := New(9, w("101")) // non-isometric at d = 9: violations exist to find
+	// result from both context-aware entry points, on a positive and on a
+	// negative cube — never a verdict or a witness, which could be
+	// non-minimal when batches were shed by cancellation rather than by the
+	// sound early-exit bound. The service's deadline path relies on it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := c.IsIsometricCtx(ctx)
-	if err == nil {
-		t.Fatal("cancelled check returned nil error")
-	}
-	if res != (IsometryResult{}) {
-		t.Errorf("cancelled check returned non-empty result %+v", res)
-	}
-	// An undisturbed context still reaches the serial witness.
-	got, err := c.IsIsometricCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := c.IsIsometricSerial(); got != want {
-		t.Errorf("parallel witness %+v differs from serial %+v", got, want)
+	for _, cs := range []struct {
+		f string
+		d int
+	}{{"11", 10}, {"101", 9}} { // Γ_10 is isometric, Q_9(101) is not
+		c := New(cs.d, w(cs.f))
+		for name, check := range map[string]func(context.Context) (IsometryResult, error){
+			"IsIsometricCtx":      c.IsIsometricCtx,
+			"IsIsometricQuickCtx": c.IsIsometricQuickCtx,
+		} {
+			res, err := check(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("Q_%d(%s) %s: err %v, want context.Canceled", cs.d, cs.f, name, err)
+			}
+			if res != (IsometryResult{}) {
+				t.Errorf("Q_%d(%s) %s: non-empty result %+v", cs.d, cs.f, name, res)
+			}
+		}
+		// An undisturbed context still reaches the serial witness.
+		got, err := c.IsIsometricCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.IsIsometricSerial(); got != want {
+			t.Errorf("Q_%d(%s): parallel %+v differs from serial %+v", cs.d, cs.f, got, want)
+		}
 	}
 }

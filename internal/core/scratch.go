@@ -11,15 +11,17 @@ import (
 // Scratch holds the reusable per-worker state for repeated cube
 // constructions and isometry checks across a (d, f) grid: the column
 // builder's incremental cube cache (automaton, vertex states, edge-lift
-// scratch) and the MS-BFS engine's bitset planes. New(d, f) runs the whole
-// chain from Q_0(f); through a warm Scratch a cell that continues the
-// current column is a single step whose only allocations are the cube's
-// own retained memory (see ColumnBuilder).
+// scratch), the isometry criterion's state planes and the MS-BFS engine's
+// bitset planes. New(d, f) runs the whole chain from Q_0(f); through a
+// warm Scratch a cell that continues the current column is a single step
+// whose only allocations are the cube's own retained memory (see
+// ColumnBuilder).
 //
 // A Scratch is not safe for concurrent use; allocate one per goroutine.
 // The sweep engine does exactly that, one per worker.
 type Scratch struct {
 	col *ColumnBuilder
+	iso isoDP
 	ms  *graph.MSBFS
 	cnt automaton.CountScratch
 
@@ -87,11 +89,23 @@ func (s *Scratch) CountSeq(ctx context.Context, dmax int, f bitstr.Word) ([]BigC
 	return countSeqCtx(ctx, &s.cnt, dmax, f)
 }
 
-// IsIsometric is the exact single-threaded embeddability check of
-// Cube.IsIsometricSerial with the MS-BFS planes drawn from the scratch.
-// Like the serial variant it reports the violating pair with the smallest
-// source rank, so results are deterministic. Sweeps parallelize across
-// grid cells, one scratch per worker, rather than inside one check.
+// Isometric reports whether c is an isometric subgraph of Q_d by the
+// vertex criterion alone (see isoDP), with the state planes drawn from the
+// scratch. It names no witness, so it never runs MS-BFS.
+func (s *Scratch) Isometric(c *Cube) bool {
+	ok, _ := s.iso.isometric(context.Background(), c)
+	return ok
+}
+
+// IsIsometric is Cube.IsIsometric on one goroutine through the scratch: the
+// criterion decides, and a negative verdict runs the serial MS-BFS of
+// Cube.IsIsometricSerial, with the engine's planes drawn from the scratch,
+// to name the violating pair with the smallest (source, vertex) ranks.
+// Results are deterministic. Sweeps parallelize across grid cells, one
+// scratch per worker, rather than inside one check.
 func (s *Scratch) IsIsometric(c *Cube) IsometryResult {
+	if s.Isometric(c) {
+		return IsometryResult{Isometric: true}
+	}
 	return isIsometricSerial(c, s.engine(c.g))
 }

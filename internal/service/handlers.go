@@ -90,7 +90,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleIsometric serves the exact embeddability check on the explicitly
-// constructed cube (critical-pair screen, then parallel BFS verification).
+// constructed cube: the isometry criterion decides, and a negative verdict
+// names the first 2- or 3-critical pair as its witness, or the MS-BFS
+// violating pair when there is none (Cube.IsIsometricQuickCtx).
 func (s *Server) handleIsometric(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	f, d, err := s.decodeFD(r, -1, 0, s.cfg.MaxBuildDim)

@@ -12,7 +12,8 @@ import (
 )
 
 // GridSpec bounds a classification grid: factor lengths MinLen..MaxLen,
-// dimensions MinD..MaxD, and the per-cell decision method.
+// dimensions MinD..MaxD, and the method, which names the witness form of
+// negative cells (verdicts do not depend on it; see core.Method).
 type GridSpec struct {
 	MinLen, MaxLen int
 	MinD, MaxD     int
@@ -95,7 +96,9 @@ type SurveyRow struct {
 }
 
 // surveyFn is the per-class task body of Survey: scan for the first
-// failing dimension, then attach the paper's verdict.
+// failing dimension, then attach the paper's verdict. A survey keeps only
+// verdicts, so it asks the criterion and never pays for a witness; every
+// method yields the same verdict.
 func surveyFn(spec GridSpec) Func {
 	return func(ctx context.Context, s *core.Scratch, t Task) (any, error) {
 		row := SurveyRow{Class: t.Class, Theory: surveyTheory(t.Class, spec.MaxD)}
@@ -107,7 +110,7 @@ func surveyFn(spec GridSpec) Func {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if cell := core.ClassifyCell(ctx, s, t.Class, d, spec.Method); !cell.Isometric {
+			if !s.Isometric(s.Cube(ctx, d, t.Class.Rep)) {
 				row.FirstFail = d
 				break
 			}
